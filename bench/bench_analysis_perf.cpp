@@ -152,7 +152,6 @@ void closureWidenSeries(benchmark::State &State, unsigned K) {
   auto F = frontend(Src);
   auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
   closure::ClosureOptions Options;
-  Options.Jobs = 1;
   Options.Widening = K;
   size_t Contexts = 0, Widened = 0;
   bool Converged = false;
@@ -197,55 +196,6 @@ void BM_Closure(benchmark::State &State) {
 }
 BENCHMARK(BM_Closure)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
-/// Parallel closure analysis (the BSP partition replay of
-/// closure/ParallelFixpoint.cpp) against the same inputs as BM_Closure
-/// and BM_ClosureAnalysis_NestedHOF. ParallelMinFrontier is lowered to 2
-/// so the partitioned path runs even on modest frontiers — the point is
-/// to measure the parallel machinery, not to let it bail to the inline
-/// fallback. Real time, not CPU time: items run on pool threads.
-void closureParallelSeries(benchmark::State &State, const std::string &Src,
-                           unsigned Jobs) {
-  auto F = frontend(Src);
-  auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
-  closure::ClosureOptions Options;
-  Options.Jobs = Jobs;
-  Options.ParallelMinFrontier = 2;
-  size_t Contexts = 0, ParRounds = 0, Partitions = 0;
-  for (auto _ : State) {
-    closure::ClosureAnalysis CA(*Prog, Options);
-    benchmark::DoNotOptimize(CA.run());
-    Contexts = CA.numContexts();
-    ParRounds = CA.stats().ParallelRounds;
-    Partitions = CA.stats().Partitions;
-  }
-  State.counters["contexts"] = static_cast<double>(Contexts);
-  State.counters["par_rounds"] = static_cast<double>(ParRounds);
-  State.counters["partitions"] = static_cast<double>(Partitions);
-}
-
-void BM_ClosureParallel(benchmark::State &State) {
-  closureParallelSeries(State, chainProgram(static_cast<int>(State.range(0))),
-                        static_cast<unsigned>(State.range(1)));
-}
-BENCHMARK(BM_ClosureParallel)
-    ->Args({32, 2})
-    ->Args({32, 4})
-    ->Args({48, 2})
-    ->Args({48, 4})
-    ->UseRealTime();
-
-void BM_ClosureParallel_NestedHOF(benchmark::State &State) {
-  closureParallelSeries(State,
-                        nestedHofProgram(static_cast<int>(State.range(0))),
-                        static_cast<unsigned>(State.range(1)));
-}
-BENCHMARK(BM_ClosureParallel_NestedHOF)
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->UseRealTime();
-
 /// Constraint-generation stage time alone (no solve): consumes a
 /// converged closure analysis, so this isolates the §4.2 table-driven
 /// system construction. Tracked in BENCH_analysis.json.
@@ -269,21 +219,17 @@ BENCHMARK(BM_ConstraintGen)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 /// regenerated every iteration, so the measurement includes the
 /// incremental union-find tracking and the shard finalization that the
 /// sharded solve path consumes (no component discovery at solve time).
-/// Compare against BM_CongenMonolithic — same generation, but the solve
-/// ignores the shards and runs the monolithic simplify+count path.
-void congenSeries(benchmark::State &State, bool UseShards) {
+/// Real time: systems of 2048+ constraints solve on the thread pool.
+void BM_CongenSharded(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
   auto F = frontend(Src);
   auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
   closure::ClosureAnalysis CA(*Prog);
   CA.run();
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.UseShards = UseShards;
   size_t Shards = 0, Largest = 0;
   for (auto _ : State) {
     constraints::GenResult Gen = constraints::generateConstraints(*Prog, CA);
-    solver::SolveResult Sol = solver::solve(Gen.Sys, Options);
+    solver::SolveResult Sol = solver::solve(Gen.Sys);
     benchmark::DoNotOptimize(Sol.Sat);
     Shards = Gen.Sharding.Shards;
     Largest = Gen.Sharding.LargestShardConstraints;
@@ -291,16 +237,12 @@ void congenSeries(benchmark::State &State, bool UseShards) {
   State.counters["shards"] = static_cast<double>(Shards);
   State.counters["largest_shard"] = static_cast<double>(Largest);
 }
-
-void BM_CongenSharded(benchmark::State &State) {
-  congenSeries(State, /*UseShards=*/true);
-}
-BENCHMARK(BM_CongenSharded)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_CongenMonolithic(benchmark::State &State) {
-  congenSeries(State, /*UseShards=*/false);
-}
-BENCHMARK(BM_CongenMonolithic)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
+BENCHMARK(BM_CongenSharded)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->UseRealTime();
 
 void BM_ConstraintGenAndSolve(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
@@ -318,8 +260,9 @@ void BM_ConstraintGenAndSolve(benchmark::State &State) {
 BENCHMARK(BM_ConstraintGenAndSolve)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 /// Solve-stage series: the same generated constraint system solved raw
-/// (the pre-simplification §4.3 solver), with preprocessing, and with
-/// preprocessing + parallel per-component solving. Prints a one-shot
+/// (the §4.3 oracle on byte domains) and on the production path
+/// (per-shard preprocessing, packed domains, shard groups on the thread
+/// pool for systems of 2048+ constraints). Prints a one-shot
 /// constraint reduction-ratio report line and surfaces the graph sizes
 /// as counters.
 void solveSeries(benchmark::State &State,
@@ -368,56 +311,16 @@ void BM_SolveRaw(benchmark::State &State) {
 }
 BENCHMARK(BM_SolveRaw)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
+// Real time: systems of 2048+ constraints solve on the thread pool.
 void BM_SolveSimplified(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1; // preprocessing only; components solved sequentially
-  solveSeries(State, Options);
+  solveSeries(State, solver::SolveOptions());
 }
-BENCHMARK(BM_SolveSimplified)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_SolveSimplifiedParallel(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 0;                  // all hardware threads
-  Options.ParallelMinConstraints = 0; // measure the pool even when small
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveSimplifiedParallel)
+BENCHMARK(BM_SolveSimplified)
     ->Arg(8)
     ->Arg(16)
     ->Arg(32)
     ->Arg(48)
     ->UseRealTime();
-
-// Packed bitvector domains (the default, 21 three-bit state lanes and
-// 32 two-bit boolean lanes per 64-bit word) vs the byte-per-variable
-// oracle representation (`aflc --no-packed-domains`). Same sequential
-// simplified solve either side; the pair is the before/after series of
-// BENCH_solver.json.
-void BM_SolvePacked(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.PackedDomains = true;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolvePacked)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_SolveByteDomains(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.PackedDomains = false;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveByteDomains)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-// The raw (unsimplified) solve scans full-size domain arrays every
-// iteration, so it shows the representation effect at its largest.
-void BM_SolveRawByteDomains(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Simplify = false;
-  Options.PackedDomains = false;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveRawByteDomains)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
 /// Instrumented-run stage under one backend: a scaled builtin program is
 /// analyzed once (A-F-L completion), then executed repeatedly. Family 0

@@ -35,18 +35,6 @@ RegEnvId RegEnvTable::intern(RegEnvMap Map) {
   return Id;
 }
 
-bool RegEnvTable::find(const RegEnvMap &Map, RegEnvId &Out) const {
-  auto It = Index.find(hashEnv(Map));
-  if (It == Index.end())
-    return false;
-  for (RegEnvId Id : It->second)
-    if (Envs[Id] == Map) {
-      Out = Id;
-      return true;
-    }
-  return false;
-}
-
 Color RegEnvTable::colorOf(RegEnvId Id, RegionVarId Var) const {
   const RegEnvMap &E = Envs[Id];
   auto It = std::lower_bound(

@@ -44,13 +44,6 @@ public:
   /// Interns \p Map (must be sorted by region variable, no duplicates).
   RegEnvId intern(RegEnvMap Map);
 
-  /// Content lookup without interning: true (and \p Out set) iff \p Map
-  /// is already interned. Const — safe to call concurrently with other
-  /// readers while no thread interns (the parallel closure workers probe
-  /// the frozen table this way, keeping genuinely new environments in
-  /// thread-local overlays until the commit step).
-  bool find(const RegEnvMap &Map, RegEnvId &Out) const;
-
   const RegEnvMap &get(RegEnvId Id) const { return Envs[Id]; }
   size_t size() const { return Envs.size(); }
 

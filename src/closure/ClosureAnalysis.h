@@ -16,9 +16,10 @@
 /// sets are hash-consed FlatSets referenced by SetId, and the fixpoint is
 /// a dependency-tracked worklist — when a context's value set grows, only
 /// its recorded dependents are re-evaluated. The seed's whole-program
-/// restart fixpoint is retained as a reference mode
+/// restart fixpoint is retained as the reference mode
 /// (ClosureOptions::UseWorklist = false); tests/ClosureDifferentialTest
-/// proves both modes produce byte-identical downstream systems.
+/// proves both modes produce byte-identical downstream systems. These
+/// are the only two engines, and both run on the calling thread.
 ///
 /// Deviations from the paper (documented in DESIGN.md):
 ///  * Variable value sets are keyed by (unique) binder rather than by
@@ -54,17 +55,11 @@ struct AbsClosure {
   RegEnvId Env = 0;
 };
 
-/// Default for ClosureOptions::Jobs: the AFL_CLOSURE_JOBS environment
-/// variable if set to a valid non-negative integer (0 = all cores),
-/// otherwise 1 (sequential). The env hook lets the whole test suite run
-/// in parallel-closure mode without touching call sites (CI does this).
-unsigned defaultClosureJobs();
-
 /// Default for ClosureOptions::Widening: the AFL_CLOSURE_WIDEN
 /// environment variable if set to a valid non-negative integer,
-/// otherwise 0 (widening off, exact analysis). Same process-level-mode
-/// contract as defaultClosureJobs — the server and every library call
-/// site pick it up without plumbing.
+/// otherwise 0 (widening off, exact analysis). Read once per process,
+/// so the server and every library call site pick it up without
+/// plumbing.
 unsigned defaultClosureWiden();
 
 /// Fixpoint configuration.
@@ -78,15 +73,8 @@ struct ClosureOptions {
   /// Worklist mode: maximum contexts processed before reporting failure.
   /// 0 derives the cap as MaxPasses * number of IR nodes.
   size_t MaxSteps = 0;
-  /// Worklist mode: maximum concurrent executors for the partitioned
-  /// fixpoint (closure/ParallelFixpoint.cpp). 1 = sequential (default),
-  /// 0 = one per hardware thread, N = at most N. Ignored in restart
-  /// mode. `aflc --closure-jobs N`.
-  unsigned Jobs = defaultClosureJobs();
-  /// Parallel mode: frontiers smaller than this are processed inline on
-  /// the calling thread — partitioning overhead only pays off on wide
-  /// frontiers.
-  size_t ParallelMinFrontier = 16;
+  /// The analysis runs on the calling thread.
+  static constexpr unsigned Jobs = 1;
   /// Context-set widening bound K (docs/ANALYSIS_CORE.md): when a
   /// closure environment carries more than K color classes invisible to
   /// the consumer (no member region variable in the closure's latent
@@ -96,10 +84,8 @@ struct ClosureOptions {
   /// `aflc --closure-widen[=K]`, default from $AFL_CLOSURE_WIDEN.
   unsigned Widening = defaultClosureWiden();
 
-  /// The stabilization cap every fixpoint mode enforces: MaxSteps when
-  /// set, otherwise MaxPasses * max(NumNodes, 1), saturating instead of
-  /// overflowing. Shared so the worklist, restart, and parallel engines
-  /// cannot drift apart in how they derive it.
+  /// The worklist's stabilization cap: MaxSteps when set, otherwise
+  /// MaxPasses * max(NumNodes, 1), saturating instead of overflowing.
   size_t stepCap(size_t NumNodes) const;
 };
 
@@ -146,33 +132,12 @@ struct ClosureStats {
   /// Distinct hash-consed value sets (including the empty set).
   size_t InternedSets = 0;
 
-  // Parallel-mode counters (all 0 when Jobs == 1 or in restart mode).
-  /// Executors the partitioned fixpoint was allowed to use (resolved
-  /// from ClosureOptions::Jobs; 0 when the parallel path never ran).
-  unsigned ThreadsUsed = 0;
-  /// Frontier rounds dispatched to the pool.
-  size_t ParallelRounds = 0;
-  /// Rounds below ParallelMinFrontier, processed inline.
-  size_t InlineRounds = 0;
-  /// Independent frontier partitions summed over all parallel rounds.
-  size_t Partitions = 0;
-  /// Contexts in the largest single partition seen.
-  size_t LargestPartition = 0;
-  /// Helper tasks enqueued to / items executed by pool workers
-  /// (ThreadPool::RunStats, summed over rounds).
-  size_t PoolTasksQueued = 0;
-  size_t PoolItemsStolen = 0;
-  /// Wall time spent inside parallel rounds (partition + dispatch +
-  /// commit), for the `closure:` --timings line and --metrics.
-  double ParallelSeconds = 0.0;
-
   // Widening counters (all 0 when ClosureOptions::Widening == 0).
   /// The bound K the analysis ran with.
   unsigned WideningBound = 0;
   /// Closures whose environment the widening recolored. Computed
   /// post-fixpoint as a pure function of the final tables, so the value
-  /// is identical across the three fixpoint modes (a live counter would
-  /// differ with parallel speculation).
+  /// is identical across both fixpoint modes.
   size_t WidenedClosures = 0;
   /// Environment entries (region variables) recolored across those.
   size_t WidenedVars = 0;
@@ -289,20 +254,11 @@ private:
   /// New contexts enter the worklist (worklist mode) or set Changed
   /// (restart mode).
   uint32_t ensureCtx(const regions::RExpr *N, RegEnvId Incoming);
-  /// The registration half of ensureCtx: \p Env is already the *context*
-  /// environment. The parallel commit step resolves environments itself
-  /// and registers through this.
-  uint32_t registerCtx(const regions::RExpr *N, RegEnvId Env);
 
   /// Worklist fixpoint: evaluates one context against the current tables,
   /// recording dependency edges as it reads.
   void process(uint32_t C);
   bool runWorklist();
-
-  /// Partitioned worklist fixpoint on the shared thread pool
-  /// (closure/ParallelFixpoint.cpp). \p Jobs is the resolved executor
-  /// count (≥ 2). Same least fixpoint as runWorklist.
-  bool runParallel(unsigned Jobs);
 
   /// Reference restart fixpoint (the seed algorithm, on dense tables).
   SetId analyzeRec(const regions::RExpr *N, RegEnvId Incoming);
@@ -333,8 +289,7 @@ private:
 
   /// Per-node latent-effect region sets for Lambda/Letrec nodes (empty
   /// sets elsewhere), precomputed in the constructor when Widening > 0:
-  /// the widening consults them on every closure creation, including
-  /// from parallel workers, which must not touch the type tables.
+  /// the widening consults them on every closure creation.
   std::vector<std::set<regions::RegionVarId>> VisibleRegions;
 
   std::vector<AbsClosure> Closures;
@@ -344,7 +299,8 @@ private:
   SetInterner<AbsClosureId> ValueSets;
 
   std::vector<CtxInfo> Ctxs; // indexed by CtxId
-  /// Per node: registered context envs (sorted) and the parallel CtxIds.
+  /// Per node: registered context envs (sorted) and their CtxIds, index
+  /// for index.
   std::vector<FlatSet<RegEnvId>> NodeEnvs;
   std::vector<std::vector<uint32_t>> NodeCtxIds;
 
@@ -373,10 +329,6 @@ private:
 
   ClosureStats Stats;
   std::string Error;
-
-  /// The partitioned parallel fixpoint reads the frozen tables and
-  /// commits worker overlays through the private mutators.
-  friend class ParallelEngine;
 };
 
 } // namespace closure

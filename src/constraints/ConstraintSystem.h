@@ -23,7 +23,8 @@
 /// `shardConstraints()` / `shardStates()` / `shardBools()` expose them as
 /// CSR-backed shards with deterministic numbering (ascending smallest
 /// member state variable — the same order `solver::splitComponents`
-/// assigns), letting the solver skip its own component-discovery pass.
+/// assigns). The production solver simplifies and solves shard by shard
+/// and never runs a component-discovery pass of its own.
 ///
 //===----------------------------------------------------------------------===//
 

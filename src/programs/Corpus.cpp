@@ -1,5 +1,7 @@
 #include "programs/Corpus.h"
 
+#include <ostream>
+
 using namespace afl;
 using namespace afl::programs;
 
@@ -126,6 +128,10 @@ std::vector<BenchProgram> programs::table2Corpus() {
       {"Randlist(25)", randlistSource(25)},
       {"Fac(10)", facSource(10)},
   };
+}
+
+std::ostream &programs::operator<<(std::ostream &OS, const BenchProgram &P) {
+  return OS << P.Name;
 }
 
 std::vector<BenchProgram> programs::smallCorpus() {

@@ -23,6 +23,7 @@
 #ifndef AFL_PROGRAMS_CORPUS_H
 #define AFL_PROGRAMS_CORPUS_H
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,11 @@ struct BenchProgram {
   std::string Name;
   std::string Source;
 };
+
+/// Prints the program's name. Parameterized tests show this instead of
+/// the struct's raw bytes, which hold heap addresses and would make the
+/// test names differ from run to run.
+std::ostream &operator<<(std::ostream &OS, const BenchProgram &P);
 
 /// The Table 2 corpus at the paper's parameters:
 /// Appel(100), Quicksort(500), Fibonacci(6), Randlist(25), Fac(10).

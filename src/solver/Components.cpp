@@ -65,7 +65,7 @@ ComponentSplit solver::splitComponents(const ConstraintSystem &Sys) {
     if (CompOf[Root] == None) {
       CompOf[Root] = static_cast<uint32_t>(Out.Comps.size());
       Out.Comps.emplace_back();
-      // Components are solved directly, never re-sharded.
+      // Components are standalone systems, never re-sharded.
       Out.Comps.back().Sys.disableConnectivityTracking();
     }
     return CompOf[Root];
@@ -79,7 +79,7 @@ ComponentSplit solver::splitComponents(const ConstraintSystem &Sys) {
 
   // Local ids ascend in global-id order: the per-component solver's
   // default-false boolean sweep then visits booleans in the same
-  // relative order as the monolithic solver's.
+  // relative order as the whole-system solver's.
   std::vector<uint32_t> LocalId(NS + NB, None);
   for (uint32_t V = 0; V != NS; ++V) {
     if (!Occurs[V])
@@ -134,7 +134,6 @@ ShardLocalIds solver::buildShardLocalIds(const ConstraintSystem &Sys) {
     L = 0;
     for (uint32_t B : Bools)
       Ids.Bool[B] = L++;
-    Ids.NumShardedBools += Bools.size();
   }
   return Ids;
 }
@@ -169,24 +168,4 @@ Component solver::materializeShard(const ConstraintSystem &Sys, uint32_t K,
     }
   }
   return Comp;
-}
-
-ComponentCount solver::countComponents(const ConstraintSystem &Sys) {
-  ComponentCount Out;
-  const size_t NS = Sys.numStateVars();
-  UnionFind UF(NS + Sys.numBoolVars());
-  for (const Constraint &C : Sys.Cons) {
-    UF.merge(C.S1, C.S2);
-    if (C.K != Constraint::Kind::Eq)
-      UF.merge(C.S1, static_cast<uint32_t>(NS) + C.B);
-  }
-  std::vector<uint32_t> ConsOf(NS, 0);
-  for (const Constraint &C : Sys.Cons) {
-    uint32_t Root = UF.find(C.S1);
-    if (ConsOf[Root]++ == 0)
-      ++Out.Components;
-    Out.LargestConstraints =
-        std::max<size_t>(Out.LargestConstraints, ConsOf[Root]);
-  }
-  return Out;
 }

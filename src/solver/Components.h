@@ -1,19 +1,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Connected-component decomposition of a (simplified) constraint
-/// system. Two variables are connected when some constraint mentions
-/// both; a triple additionally connects its boolean to both states, so
-/// booleans shared across contexts merge the contexts' chains into one
-/// component. Components share no variables, so each can be solved
-/// independently (and, above a size threshold, in parallel) — the
-/// per-procedure decomposition insight of the Mercury region system
+/// Connected-component decomposition of a constraint system. Two
+/// variables are connected when some constraint mentions both; a triple
+/// additionally connects its boolean to both states, so booleans shared
+/// across contexts merge the contexts' chains into one component.
+/// Components share no variables, so each can be solved independently —
+/// the per-procedure decomposition insight of the Mercury region system
 /// (PAPERS.md) applied to the §4.3 solve.
 ///
+/// The production solver never discovers components itself: it consumes
+/// the shards ConstraintSystem finalizes from its emission-time
+/// union-find, through buildShardLocalIds. splitComponents (discovery
+/// from scratch) and materializeShard (one shard as a standalone system)
+/// are the references tests/SimplifyTest.cpp checks the shard index and
+/// simplifyShard against.
+///
 /// Determinism: components are ordered by their smallest state
-/// variable, and local ids ascend in global-id order, so the projected
-/// execution of each component is identical to the monolithic solve's
-/// execution restricted to that component (docs/SOLVER.md).
+/// variable, and local ids ascend in global-id order (docs/SOLVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,25 +48,14 @@ struct ComponentSplit {
 /// domains; unforced booleans default to false downstream).
 ComponentSplit splitComponents(const constraints::ConstraintSystem &Sys);
 
-/// Component count and largest-component constraint count, without
-/// materializing the per-component systems — the sequential solve path
-/// wants the statistics but solves the system monolithically, so the
-/// copies (and their occurrence-list rebuilds) would be pure overhead.
-struct ComponentCount {
-  size_t Components = 0;
-  size_t LargestConstraints = 0;
-};
-ComponentCount countComponents(const constraints::ConstraintSystem &Sys);
-
 /// Local-id tables for every shard of a pre-sharded system (the CSR
 /// component index ConstraintSystem finalizes from its emission-time
 /// union-find): a variable's local id is its rank within its shard, so
 /// local ids ascend in global-id order — the numbering splitComponents
-/// assigns. Built once; shared read-only by concurrent materializations.
+/// assigns.
 struct ShardLocalIds {
   std::vector<uint32_t> State, Bool;
   size_t NumShardedStates = 0;
-  size_t NumShardedBools = 0;
 };
 ShardLocalIds buildShardLocalIds(const constraints::ConstraintSystem &Sys);
 

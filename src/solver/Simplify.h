@@ -53,11 +53,11 @@ struct SimplifyStats {
   size_t ForcedTriplesRemoved = 0;
   /// Boolean variables fixed during preprocessing.
   size_t BoolsForced = 0;
-  /// Connected components of the residual graph (0 when empty).
+  /// Connected components solved: the system's emission shards.
   size_t Components = 0;
   /// Constraint count of the largest component.
   size_t LargestComponent = 0;
-  /// Worker threads used for the per-component solve.
+  /// Worker threads used for the per-shard solve.
   size_t ThreadsUsed = 1;
   /// Per-phase wall-clock seconds.
   double SimplifySeconds = 0;

@@ -5,13 +5,10 @@
 #include "support/PackedDomains.h"
 #include "support/ThreadPool.h"
 
-#include "support/CliParse.h"
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
 
 using namespace afl;
 using namespace afl::solver;
@@ -20,9 +17,8 @@ using namespace afl::constraints;
 namespace {
 
 /// Byte-per-lane stand-in for support::PackedArray with the same lane
-/// API: the historical domain representation, kept as the solver's
-/// differential oracle and bench baseline
-/// (SolveOptions::PackedDomains = false, `aflc --no-packed-domains`).
+/// API: the historical domain representation, kept for the raw §4.3
+/// oracle (SolveOptions::Simplify = false, `aflc --no-simplify`).
 struct ByteLanes {
   uint8_t get(size_t I) const { return V[I]; }
   void set(size_t I, uint8_t Val) { V[I] = Val; }
@@ -57,12 +53,12 @@ void exportLanes(ByteLanes &&Src, support::PackedArray<Bits> &Dst) {
 }
 
 /// The propagation/choice/backtrack core, parameterized over the domain
-/// and flag array representations: bit-packed (the production mode —
-/// 3-bit state / 2-bit boolean / 1-bit flag lanes, word-at-a-time
-/// construction and copies) or byte lanes (the oracle). The algorithm is
-/// representation-blind: both instantiations execute the identical
-/// sequence of domain reads and writes, which is why their solutions are
-/// bit-identical (tests/SolverDifferentialTest.cpp).
+/// and flag array representations: bit-packed (production, run on
+/// simplified shard residuals — 3-bit state / 2-bit boolean / 1-bit flag
+/// lanes, word-at-a-time construction and copies) or byte lanes (the raw
+/// oracle). The algorithm is representation-blind: both instantiations
+/// execute the identical sequence of domain reads and writes for the
+/// same input (tests/SolverDifferentialTest.cpp).
 template <typename SDomT, typename BDomT, typename FlagT> class SolverImpl {
 public:
   explicit SolverImpl(const ConstraintSystem &Sys) : Sys(Sys) {
@@ -287,11 +283,11 @@ private:
   const ConstraintSystem &Sys;
   SDomT SD;
   BDomT BD;
-  // In-structure membership flags. The packed mode keeps these at one
-  // bit per constraint (the memsets in the constructor are the point:
-  // they run once per solved residual, and shard grouping constructs
-  // thousands of solvers per batch); the byte mode keeps the historical
-  // byte flags.
+  // In-structure membership flags. The packed instantiation keeps these
+  // at one bit per constraint (the memsets in the constructor are the
+  // point: they run once per solved residual, and shard grouping
+  // constructs thousands of solvers per batch); the byte instantiation
+  // keeps the historical byte flags.
   FlagT InQueue;
   FlagT InAllocCand, InDeallocCand;
   /// Index-cursor worklist: pushes append, pops advance QueueHead; the
@@ -361,71 +357,88 @@ SolveResult SolverImpl<SDomT, BDomT, FlagT>::run() {
   }
 }
 
-/// Runs one core solve over \p Sys in the representation \p Packed
-/// selects. Both modes return packed domains in the SolveResult.
-SolveResult runCore(const ConstraintSystem &Sys, bool Packed) {
-  if (Packed)
-    return SolverImpl<support::StateDomains, support::BoolDomains,
-                      support::PackedBits>(Sys)
-        .run();
+/// The production core: bit-packed lanes over a simplified residual.
+SolveResult solveResidual(const ConstraintSystem &Residual) {
+  return SolverImpl<support::StateDomains, support::BoolDomains,
+                    support::PackedBits>(Residual)
+      .run();
+}
+
+/// The oracle: the paper-literal §4.3 engine over the raw system, on
+/// byte lanes.
+SolveResult solveRaw(const ConstraintSystem &Sys) {
   return SolverImpl<ByteLanes, ByteLanes, ByteLanes>(Sys).run();
 }
 
-/// Solves the components of \p Split (each written to its slot of
-/// \p Results) with \p Jobs workers. Returns false as soon as any
-/// component is unsatisfiable (remaining components are skipped).
-bool solveComponents(const ComponentSplit &Split,
-                     std::vector<SolveResult> &Results, unsigned Jobs,
-                     bool Packed) {
-  Results.resize(Split.Comps.size());
-  std::atomic<bool> Failed{false};
-
-  // Shared-pool fan-out (support/ThreadPool.h): each item writes only
-  // its own Results slot. Once any component is unsatisfiable the
-  // remaining items early-out (their slots stay default, Sat == false,
-  // and are never read — solve() returns Unsat immediately).
-  ThreadPool::global().parallelFor(
-      Split.Comps.size(), Jobs <= 1 ? 1 : Jobs, [&](size_t I) {
-        if (Failed.load(std::memory_order_relaxed))
-          return;
-        Results[I] = runCore(Split.Comps[I].Sys, Packed);
-        if (!Results[I].Sat)
-          Failed.store(true, std::memory_order_relaxed);
-      });
-  return !Failed.load(std::memory_order_relaxed);
+/// Opens a shard-consuming solve. An empty *initial* domain is a
+/// conflict even for a variable in no constraint — it never reaches a
+/// shard, so it is checked globally up front and returns false (\p R
+/// stays Unsat). Otherwise builds the shard-local ids and seeds \p R
+/// with the initial domains: unsharded variables keep them (they are
+/// their own representatives), every sharded slot is overwritten by the
+/// caller. Word copies: both sides are packed.
+bool beginSharded(const ConstraintSystem &Sys, SolveResult &R,
+                  ShardLocalIds &Ids) {
+  if (Sys.StateDom.hasZeroEntry())
+    return false;
+  Stopwatch Phase;
+  Ids = buildShardLocalIds(Sys);
+  R.Simplify.ComponentSeconds = Phase.seconds();
+  R.StateDom = Sys.StateDom;
+  R.BoolDom = Sys.BoolDom;
+  return true;
 }
 
-/// The pre-sharded path: the input's emission-time union-find already
-/// partitioned variables and constraints into connected components, so
-/// each shard is simplified and solved on its own — sequentially in
-/// shard order or fanned out over the pool — with no global simplify, no
-/// component-discovery pass, and no materialized per-shard system
-/// (simplifyShard consumes the CSR shard index directly). Shards
-/// partition the variable space, so workers scatter solved domains
-/// directly into disjoint slots of the result arrays.
-SolveResult solveSharded(const ConstraintSystem &Sys,
-                         const SolveOptions &Options, Stopwatch &Watch) {
-  SolveResult R;
-
-  // An empty *initial* domain is a conflict even for a variable in no
-  // constraint — it never reaches a shard, so check globally up front
-  // (the same scan simplify() opens with on the monolithic path).
-  if (Sys.StateDom.hasZeroEntry()) {
+/// Closes a shard-consuming solve: completes the statistics and either
+/// drops the partial domains (\p Failed) or defaults the booleans in no
+/// shard (never in a triple) to false — no operation — exactly as the
+/// raw solver's final sweep leaves them.
+SolveResult finishSharded(const ConstraintSystem &Sys,
+                          const ShardLocalIds &Ids, bool Failed,
+                          SolveResult R, const Stopwatch &Watch) {
+  // The per-shard sums cover only sharded variables; unconstrained ones
+  // are one singleton class each.
+  size_t Unsharded = Sys.numStateVars() - Ids.NumShardedStates;
+  R.Simplify.StateVarsBefore += Unsharded;
+  R.Simplify.StateVarsAfter += Unsharded;
+  R.Simplify.Components = Sys.numShards();
+  if (Failed) {
     R.Sat = false;
+    R.StateDom.clear();
+    R.BoolDom.clear();
+  } else {
+    R.BoolDom.defaultAnyToFalse();
+    R.Sat = true;
+  }
+  R.Seconds = Watch.seconds();
+  return R;
+}
+
+/// Systems with fewer constraints solve their shard groups on the
+/// calling thread, where handing them to the pool would cost more than
+/// the solve; larger ones fan the groups out over every hardware thread
+/// (on a 4-core host the ~320k-constraint straight-line programs solve
+/// about 2.5x faster that way).
+constexpr size_t FanOutMinConstraints = 2048;
+
+/// The production path. The input's emission-time union-find already
+/// partitioned variables and constraints into connected components, so
+/// contiguous groups of shards are simplified and solved on their own,
+/// with no global simplify, no component-discovery pass and no
+/// materialized per-shard system (simplifyShardRange consumes the CSR
+/// shard index directly).
+SolveResult solveSharded(const ConstraintSystem &Sys,
+                         const Stopwatch &Watch) {
+  SolveResult R;
+  ShardLocalIds Ids;
+  if (!beginSharded(Sys, R, Ids)) {
     R.Seconds = Watch.seconds();
     return R;
   }
 
-  Stopwatch Phase;
-  const size_t NumShards = Sys.numShards();
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
-  R.Simplify.ComponentSeconds = Phase.seconds();
-
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareThreads();
-  if (Sys.numConstraints() < Options.ParallelMinConstraints)
-    Jobs = 1;
+  const unsigned Jobs = Sys.numConstraints() < FanOutMinConstraints
+                            ? 1
+                            : ThreadPool::hardwareThreads();
 
   // Group contiguous shards into work units of roughly GroupTarget
   // constraints: the per-unit fixed costs (simplification scratch,
@@ -434,15 +447,15 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
   // shards. Because shards share no variables, simplifying and solving a
   // group is exactly the concatenation of its members' individual runs —
   // grouping changes nothing observable but the amortization. When
-  // running parallel, the target shrinks so every worker gets several
-  // units to balance.
+  // fanned out, the target shrinks so every worker gets several units
+  // to balance.
   size_t GroupTarget = 8192;
   if (Jobs > 1)
     GroupTarget = std::min(
         GroupTarget,
         std::max<size_t>(1, Sys.numConstraints() / (size_t(Jobs) * 4)));
-  std::vector<uint32_t> GroupStart;
-  GroupStart.push_back(0);
+  const uint32_t NumShards = static_cast<uint32_t>(Sys.numShards());
+  std::vector<uint32_t> GroupStart{0};
   {
     size_t Acc = 0;
     for (uint32_t K = 0; K != NumShards; ++K) {
@@ -455,30 +468,23 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
     }
   }
   if (NumShards != 0)
-    GroupStart.push_back(static_cast<uint32_t>(NumShards));
+    GroupStart.push_back(NumShards);
   const size_t NumGroups = GroupStart.size() - 1;
-
-  // Unsharded variables keep their initial domains (they are their own
-  // representatives); every sharded slot is overwritten below. Word
-  // copies: both sides are packed.
-  R.StateDom = Sys.StateDom;
-  R.BoolDom = Sys.BoolDom;
 
   struct GroupWork {
     SimplifyStats Stats;
     uint64_t Propagations = 0, Choices = 0, Backtracks = 0;
     /// The group's solved residual domains and its local->rep mapping,
-    /// kept for the post-join scatter. With byte domains workers could
-    /// scatter into the shared result directly (each wrote distinct
-    /// bytes); packed lanes from different shards share words, so the
-    /// scatter must not run concurrently — it is replayed sequentially
-    /// once all groups finish, which also keeps it deterministic.
+    /// kept for the post-join scatter: packed lanes from different
+    /// shards share words, so the scatter must not run concurrently.
     SolveResult Solved;
     std::vector<StateVarId> StateRep;
   };
   std::vector<GroupWork> Work(NumGroups);
   std::atomic<bool> Failed{false};
 
+  // Each item writes only its own Work slot. Once any group is
+  // unsatisfiable the remaining items early-out.
   auto SolveOne = [&](size_t G) {
     if (Failed.load(std::memory_order_relaxed))
       return;
@@ -492,11 +498,10 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
       return;
     }
     // LargestComponent carries the largest member shard's residual size
-    // (the accumulation below takes the maximum, matching the monolithic
-    // path's largest-residual-component statistic). Member reps occupy
-    // contiguous ascending ranges bounded by the rep of each member's
-    // first state variable, so a rep -> member table buckets the
-    // residual constraints in one linear pass.
+    // (accumulate() takes the maximum). Member reps occupy contiguous
+    // ascending ranges bounded by the rep of each member's first state
+    // variable, so a rep -> member table buckets the residual
+    // constraints in one linear pass.
     {
       const uint32_t Members = KEnd - KBegin;
       std::vector<uint32_t> MemberOf(Simp.Residual.numStateVars());
@@ -507,8 +512,8 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
         uint32_t RepEnd = Off < Simp.StateRep.size()
                               ? Simp.StateRep[Off]
                               : static_cast<uint32_t>(MemberOf.size());
-        for (uint32_t R = RepBegin; R != RepEnd; ++R)
-          MemberOf[R] = M;
+        for (uint32_t Rep = RepBegin; Rep != RepEnd; ++Rep)
+          MemberOf[Rep] = M;
       }
       std::vector<uint32_t> PerMember(Members, 0);
       for (const Constraint &C : Simp.Residual.Cons)
@@ -517,7 +522,7 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
         Work[G].Stats.LargestComponent =
             std::max<size_t>(Work[G].Stats.LargestComponent, N);
     }
-    SolveResult CR = runCore(Simp.Residual, Options.PackedDomains);
+    SolveResult CR = solveResidual(Simp.Residual);
     Work[G].Propagations = CR.Propagations;
     Work[G].Choices = CR.Choices;
     Work[G].Backtracks = CR.Backtracks;
@@ -542,27 +547,16 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
     R.Choices += W.Choices;
     R.Backtracks += W.Backtracks;
   }
-  // The per-group sums cover only sharded variables; unconstrained ones
-  // are one singleton class each on the monolithic path.
-  size_t Unsharded = Sys.numStateVars() - Ids.NumShardedStates;
-  R.Simplify.StateVarsBefore += Unsharded;
-  R.Simplify.StateVarsAfter += Unsharded;
-  R.Simplify.Components = NumShards;
   R.Simplify.ThreadsUsed =
       Jobs <= 1 ? 1
                 : std::min<size_t>(Jobs, std::max<size_t>(NumGroups, 1));
+  if (Failed.load())
+    return finishSharded(Sys, Ids, true, std::move(R), Watch);
 
-  if (Failed.load()) {
-    R.Sat = false;
-    R.StateDom.clear();
-    R.BoolDom.clear();
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  // Scatter every group's solved domains back over the global lanes.
-  // StateRep and the solved arrays index group-local variables; the
-  // shard tables give the local -> global mapping, member by member.
+  // Reconstruction: StateRep and the solved arrays index group-local
+  // variables; the shard tables give the local -> global mapping,
+  // member by member.
+  Stopwatch Phase;
   for (size_t G = 0; G != NumGroups; ++G) {
     const GroupWork &W = Work[G];
     uint32_t SOff = 0, BOff = 0;
@@ -578,133 +572,18 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
       BOff += static_cast<uint32_t>(Bools.size());
     }
   }
-
-  // Booleans in no shard (never in a triple) default to false — no
-  // operation — exactly as the raw solver's final sweep leaves them.
-  R.BoolDom.defaultAnyToFalse();
-  R.Sat = true;
-  R.Seconds = Watch.seconds();
-  return R;
+  R.Simplify.ReconstructSeconds = Phase.seconds();
+  return finishSharded(Sys, Ids, false, std::move(R), Watch);
 }
 
 } // namespace
 
-unsigned solver::defaultSolverJobs() {
-  // Computed once: the env var is a process-level mode switch (CI runs
-  // the whole suite under AFL_SOLVER_JOBS=4), not a per-run knob.
-  static unsigned Cached = [] {
-    const char *Env = std::getenv("AFL_SOLVER_JOBS");
-    unsigned Jobs = 0;
-    if (Env && !parseCliUnsigned(Env, Jobs))
-      Jobs = 0;
-    return Jobs;
-  }();
-  return Cached;
-}
-
 SolveResult solver::solve(const ConstraintSystem &Sys,
                           const SolveOptions &Options) {
   Stopwatch Watch;
-
-  if (!Options.Simplify) {
-    SolveResult R = runCore(Sys, Options.PackedDomains);
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  if (Options.UseShards)
-    return solveSharded(Sys, Options, Watch);
-
-  SolveResult R;
-  Stopwatch Phase;
-  SimplifiedSystem Simp = simplify(Sys);
-  R.Simplify = Simp.Stats;
-  R.Simplify.SimplifySeconds = Phase.seconds();
-  if (Simp.Conflict) {
-    R.Sat = false;
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareThreads();
-  if (Simp.Residual.numConstraints() < Options.ParallelMinConstraints)
-    Jobs = 1;
-
-  support::StateDomains RepDom;
-  support::BoolDomains BoolOut;
-  if (Jobs <= 1) {
-    // Sequential: solve the residual monolithically. Materializing the
-    // per-component systems only pays off when they run on separate
-    // threads, so here the components are merely counted for the
-    // statistics.
-    Phase.reset();
-    ComponentCount Counts = countComponents(Simp.Residual);
-    R.Simplify.Components = Counts.Components;
-    R.Simplify.LargestComponent = Counts.LargestConstraints;
-    R.Simplify.ThreadsUsed = 1;
-    R.Simplify.ComponentSeconds = Phase.seconds();
-
-    SolveResult Mono = runCore(Simp.Residual, Options.PackedDomains);
-    R.Propagations = Mono.Propagations;
-    R.Choices = Mono.Choices;
-    R.Backtracks = Mono.Backtracks;
-    if (!Mono.Sat) {
-      R.Sat = false;
-      R.Seconds = Watch.seconds();
-      return R;
-    }
-    Phase.reset();
-    RepDom = std::move(Mono.StateDom);
-    BoolOut = std::move(Mono.BoolDom);
-  } else {
-    Phase.reset();
-    ComponentSplit Split = splitComponents(Simp.Residual);
-    R.Simplify.Components = Split.Comps.size();
-    R.Simplify.LargestComponent = Split.LargestConstraints;
-    R.Simplify.ComponentSeconds = Phase.seconds();
-    R.Simplify.ThreadsUsed =
-        std::min<size_t>(Jobs, std::max<size_t>(Split.Comps.size(), 1));
-
-    std::vector<SolveResult> Comp;
-    bool Sat = solveComponents(Split, Comp, Jobs, Options.PackedDomains);
-    for (const SolveResult &C : Comp) {
-      R.Propagations += C.Propagations;
-      R.Choices += C.Choices;
-      R.Backtracks += C.Backtracks;
-    }
-    if (!Sat) {
-      R.Sat = false;
-      R.Seconds = Watch.seconds();
-      return R;
-    }
-    // Booleans not touched by any component keep their forced value or
-    // default to false below (no operation), exactly as the raw
-    // solver's final boolean sweep would set them.
-    Phase.reset();
-    RepDom = Simp.Residual.StateDom;
-    BoolOut = Simp.Residual.BoolDom;
-    for (size_t I = 0; I != Split.Comps.size(); ++I) {
-      const Component &CS = Split.Comps[I];
-      const SolveResult &CR = Comp[I];
-      for (size_t L = 0; L != CS.StateGlobal.size(); ++L)
-        RepDom.set(CS.StateGlobal[L], CR.StateDom.get(L));
-      for (size_t L = 0; L != CS.BoolGlobal.size(); ++L)
-        BoolOut.set(CS.BoolGlobal[L], CR.BoolDom.get(L));
-    }
-  }
-
-  // Reconstruction: map the representatives' solved domains back over
-  // the original variable space.
-  R.StateDom.clear();
-  R.StateDom.reserve(Sys.numStateVars());
-  for (size_t V = 0; V != Sys.numStateVars(); ++V)
-    R.StateDom.push_back(RepDom.get(Simp.StateRep[V]));
-  BoolOut.defaultAnyToFalse();
-  R.BoolDom = std::move(BoolOut);
-  R.Sat = true;
-  R.Simplify.ReconstructSeconds = Phase.seconds();
+  if (Options.Simplify)
+    return solveSharded(Sys, Watch);
+  SolveResult R = solveRaw(Sys);
   R.Seconds = Watch.seconds();
   return R;
 }
@@ -712,29 +591,16 @@ SolveResult solver::solve(const ConstraintSystem &Sys,
 SolveResult solver::solveCached(const ConstraintSystem &Sys,
                                 const SolveOptions &Options,
                                 ShardSolutionCache &Cache) {
-  if (!Options.Simplify || !Options.UseShards)
+  if (!Options.Simplify)
     return solve(Sys, Options);
 
   Stopwatch Watch;
   SolveResult R;
-
-  // Same up-front global check as solveSharded: an empty initial domain
-  // is a conflict even for a variable in no constraint.
-  if (Sys.StateDom.hasZeroEntry()) {
-    R.Sat = false;
+  ShardLocalIds Ids;
+  if (!beginSharded(Sys, R, Ids)) {
     R.Seconds = Watch.seconds();
     return R;
   }
-
-  Stopwatch Phase;
-  const size_t NumShards = Sys.numShards();
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
-  R.Simplify.ComponentSeconds = Phase.seconds();
-
-  // Unsharded variables keep their initial domains; sharded slots are
-  // overwritten from cache entries or fresh solves below.
-  R.StateDom = Sys.StateDom;
-  R.BoolDom = Sys.BoolDom;
 
   bool Failed = false;
   std::string Key;
@@ -745,6 +611,7 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
     Key.push_back(static_cast<char>(V >> 24));
   };
 
+  const size_t NumShards = Sys.numShards();
   for (uint32_t K = 0; K != NumShards && !Failed; ++K) {
     // The key is the shard's content in shard-local coordinates: every
     // constraint's kind and local variable ids (in CSR order) plus the
@@ -798,7 +665,7 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
       Failed = true;
       break;
     }
-    SolveResult CR = runCore(Simp.Residual, Options.PackedDomains);
+    SolveResult CR = solveResidual(Simp.Residual);
     R.Propagations += CR.Propagations;
     R.Choices += CR.Choices;
     R.Backtracks += CR.Backtracks;
@@ -818,23 +685,5 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
     Cache.Entries.emplace(Key, std::move(E));
   }
 
-  size_t Unsharded = Sys.numStateVars() - Ids.NumShardedStates;
-  R.Simplify.StateVarsBefore += Unsharded;
-  R.Simplify.StateVarsAfter += Unsharded;
-  R.Simplify.Components = NumShards;
-  R.Simplify.ThreadsUsed = 1;
-
-  if (Failed) {
-    R.Sat = false;
-    R.StateDom.clear();
-    R.BoolDom.clear();
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  // Booleans in no shard default to false, matching solveSharded.
-  R.BoolDom.defaultAnyToFalse();
-  R.Sat = true;
-  R.Seconds = Watch.seconds();
-  return R;
+  return finishSharded(Sys, Ids, Failed, std::move(R), Watch);
 }

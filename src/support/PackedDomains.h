@@ -30,8 +30,8 @@
 ///     per word-op.
 ///
 /// `pack()`/`unpack()` convert to and from the byte-per-entry layout;
-/// the byte-domain solver path (the differential oracle and bench
-/// baseline behind `--no-packed-domains`) round-trips through them.
+/// the byte-domain solver path (the raw §4.3 oracle behind
+/// `--no-simplify`) round-trips through them.
 ///
 //===----------------------------------------------------------------------===//
 

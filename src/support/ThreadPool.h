@@ -3,10 +3,10 @@
 /// \file
 /// A shared worker-thread pool with a deadlock-free fork/join primitive.
 /// One pool (ThreadPool::global(), sized to the hardware) backs every
-/// parallel stage in the pipeline: batch items (driver/BatchRunner),
-/// solver components (solver/Solver.cpp) and closure-analysis partitions
-/// (closure/ParallelFixpoint.cpp), so nested stages share one set of
-/// threads instead of each spawning its own.
+/// parallel stage: batch items (driver/BatchRunner, `aflc --batch -j N`),
+/// the solver's shard groups on large systems (solver/Solver.cpp) and
+/// the socket server's connections (driver/Server), so nested stages
+/// share one set of threads instead of each spawning its own.
 ///
 /// The only primitive is parallelFor(Items, MaxWorkers, Fn): run
 /// Fn(0..Items-1) with at most MaxWorkers concurrent executors and block
@@ -22,7 +22,7 @@
 /// exactly once and has completed when the call returns (a full
 /// happens-before barrier). Callers that need deterministic *results*
 /// must make item slots independent (write only slot I from item I) or
-/// merge in item order afterwards — see the closure partition replay.
+/// merge in item order afterwards — see the batch runner.
 ///
 //===----------------------------------------------------------------------===//
 

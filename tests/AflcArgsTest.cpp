@@ -1,6 +1,6 @@
 // Tests for the strict CLI parsers behind aflc's arguments: a count
-// (-j / --solver-jobs / --closure-jobs / --closure-widen / @builtin N)
-// either parses as a plain base-10 unsigned integer or it is a usage
+// (-j / --closure-widen / --listen / --max-connections / --idle-timeout
+// / @builtin N) either parses as a plain base-10 unsigned integer or it is a usage
 // error — never atoi's silent 0 / prefix salvage — and a backend name
 // (--interp= / $AFL_INTERP) is exactly "vm" or "tree", never a silent
 // fallback. Also covers writeTextFile, the helper behind --metrics=FILE:

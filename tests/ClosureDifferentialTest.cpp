@@ -44,27 +44,16 @@ frontend(const std::string &Source, ast::ASTContext &Ctx, const char *Label) {
 }
 
 /// Runs closure analysis + constraint generation + solve + completion in
-/// all three fixpoint modes — sequential worklist (production default),
-/// whole-program restart (reference), and the parallel partition replay —
-/// and checks every artifact is identical to the sequential worklist's.
+/// both fixpoint modes — the worklist (production) and the whole-program
+/// restart (reference) — and checks every artifact is identical.
 void expectClosureModesAgree(const std::string &Source, const char *Label) {
   ast::ASTContext Ctx;
   auto Prog = frontend(Source, Ctx, Label);
   ASSERT_NE(Prog, nullptr) << Label;
 
-  // Pin Jobs explicitly: the default reads $AFL_CLOSURE_JOBS, and this
-  // test must compare genuinely different execution strategies whatever
-  // the environment says.
   closure::ClosureOptions WorklistOpts; // UseWorklist = true
-  WorklistOpts.Jobs = 1;
   closure::ClosureOptions RestartOpts;
   RestartOpts.UseWorklist = false;
-  RestartOpts.Jobs = 1;
-  closure::ClosureOptions ParallelOpts;
-  ParallelOpts.Jobs = 4;
-  // Force the partitioned path even on small frontiers; otherwise most
-  // corpus programs would just take the inline fallback.
-  ParallelOpts.ParallelMinFrontier = 2;
 
   closure::ClosureAnalysis Worklist(*Prog, WorklistOpts);
   ASSERT_TRUE(Worklist.run()) << Label << ": " << Worklist.error();
@@ -81,7 +70,7 @@ void expectClosureModesAgree(const std::string &Source, const char *Label) {
 
   // Env *ids* are interner-order dependent (independent interners per
   // mode), so key each context by its environment contents; closure ids
-  // are canonicalized to content order in every mode and must match
+  // are canonicalized to content order in both modes and must match
   // exactly.
   using CtxMap =
       std::map<closure::RegEnvMap, std::vector<closure::AbsClosureId>>;
@@ -93,52 +82,44 @@ void expectClosureModesAgree(const std::string &Source, const char *Label) {
     return M;
   };
 
-  struct Mode {
-    const char *Name;
-    closure::ClosureOptions Opts;
-  };
-  const Mode Others[] = {{"restart", RestartOpts},
-                         {"parallel", ParallelOpts}};
-  for (const Mode &M : Others) {
-    SCOPED_TRACE(std::string(Label) + " vs " + M.Name);
-    closure::ClosureAnalysis Other(*Prog, M.Opts);
-    ASSERT_TRUE(Other.run()) << Other.error();
-    EXPECT_EQ(Other.stats().UsedWorklist, M.Opts.UseWorklist);
+  SCOPED_TRACE(std::string(Label) + " vs restart");
+  closure::ClosureAnalysis Other(*Prog, RestartOpts);
+  ASSERT_TRUE(Other.run()) << Other.error();
+  EXPECT_FALSE(Other.stats().UsedWorklist);
 
-    // Same analysis result: contexts, closures, per-context value sets.
-    ASSERT_EQ(Worklist.numContexts(), Other.numContexts());
-    ASSERT_EQ(Worklist.numClosures(), Other.numClosures());
-    for (const regions::RExpr *N : Prog->nodes())
-      EXPECT_EQ(collect(Worklist, N), collect(Other, N))
-          << "node " << N->id();
+  // Same analysis result: contexts, closures, per-context value sets.
+  ASSERT_EQ(Worklist.numContexts(), Other.numContexts());
+  ASSERT_EQ(Worklist.numClosures(), Other.numClosures());
+  for (const regions::RExpr *N : Prog->nodes())
+    EXPECT_EQ(collect(Worklist, N), collect(Other, N))
+        << "node " << N->id();
 
-    // Byte-identical generated constraint systems.
-    GenResult OGen = generateConstraints(*Prog, Other);
-    EXPECT_EQ(dumpSystem(WGen), dumpSystem(OGen));
-    ASSERT_EQ(WGen.Choices.size(), OGen.Choices.size());
-    for (size_t I = 0; I != WGen.Choices.size(); ++I) {
-      EXPECT_EQ(WGen.Choices[I].Node, OGen.Choices[I].Node);
-      EXPECT_EQ(WGen.Choices[I].Kind, OGen.Choices[I].Kind);
-      EXPECT_EQ(WGen.Choices[I].Region, OGen.Choices[I].Region);
-      EXPECT_EQ(WGen.Choices[I].B, OGen.Choices[I].B);
-    }
-    EXPECT_EQ(WGen.NumContexts, OGen.NumContexts);
-    EXPECT_EQ(WGen.NumPinnedCalls, OGen.NumPinnedCalls);
-
-    // Identical solver outcomes over the identical systems.
-    solver::SolveResult OSol = solver::solve(OGen.Sys);
-    ASSERT_EQ(WSol.Sat, OSol.Sat);
-    EXPECT_EQ(WSol.StateDom, OSol.StateDom);
-    EXPECT_EQ(WSol.BoolDom, OSol.BoolDom);
-
-    // Identical end-to-end completions (the user-visible artifact).
-    completion::AflStats OStats;
-    regions::Completion OCpl = completion::aflCompletion(
-        *Prog, &OStats, constraints::GenOptions(), solver::SolveOptions(),
-        M.Opts);
-    EXPECT_TRUE(OStats.Solved);
-    EXPECT_EQ(WPrinted, regions::printRegionProgram(*Prog, &OCpl));
+  // Byte-identical generated constraint systems.
+  GenResult OGen = generateConstraints(*Prog, Other);
+  EXPECT_EQ(dumpSystem(WGen), dumpSystem(OGen));
+  ASSERT_EQ(WGen.Choices.size(), OGen.Choices.size());
+  for (size_t I = 0; I != WGen.Choices.size(); ++I) {
+    EXPECT_EQ(WGen.Choices[I].Node, OGen.Choices[I].Node);
+    EXPECT_EQ(WGen.Choices[I].Kind, OGen.Choices[I].Kind);
+    EXPECT_EQ(WGen.Choices[I].Region, OGen.Choices[I].Region);
+    EXPECT_EQ(WGen.Choices[I].B, OGen.Choices[I].B);
   }
+  EXPECT_EQ(WGen.NumContexts, OGen.NumContexts);
+  EXPECT_EQ(WGen.NumPinnedCalls, OGen.NumPinnedCalls);
+
+  // Identical solver outcomes over the identical systems.
+  solver::SolveResult OSol = solver::solve(OGen.Sys);
+  ASSERT_EQ(WSol.Sat, OSol.Sat);
+  EXPECT_EQ(WSol.StateDom, OSol.StateDom);
+  EXPECT_EQ(WSol.BoolDom, OSol.BoolDom);
+
+  // Identical end-to-end completions (the user-visible artifact).
+  completion::AflStats OStats;
+  regions::Completion OCpl = completion::aflCompletion(
+      *Prog, &OStats, constraints::GenOptions(), solver::SolveOptions(),
+      RestartOpts);
+  EXPECT_TRUE(OStats.Solved);
+  EXPECT_EQ(WPrinted, regions::printRegionProgram(*Prog, &OCpl));
 }
 
 TEST(ClosureDifferential, Table2Corpus) {

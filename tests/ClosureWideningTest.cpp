@@ -1,8 +1,8 @@
 // Tests for the context-set widening (docs/ANALYSIS_CORE.md): the
 // canonical invisible-class recoloring itself, its off-switch
-// bit-identity, agreement across all three fixpoint modes, the shared
-// stabilization-cap derivation (sequential and parallel must fall back
-// to the conservative completion identically when the cap is hit), the
+// bit-identity, agreement across both fixpoint modes, the shared
+// stabilization-cap derivation (a capped worklist must fall back to
+// the conservative completion), the
 // exact-blows-up/widened-converges cliff on the permuted-payload
 // family, and the differential precision sweep over the corpus plus
 // 500 random programs quantifying what the merge costs at runtime.
@@ -10,6 +10,7 @@
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
 #include "completion/AflCompletion.h"
+#include "completion/Conservative.h"
 #include "constraints/ConstraintPrinter.h"
 #include "driver/Pipeline.h"
 #include "parser/Parser.h"
@@ -174,13 +175,11 @@ std::unique_ptr<RegionProgram> frontend(const std::string &Source,
   return Prog;
 }
 
-/// Sequential exact-analysis options with everything env-sensitive
-/// pinned, so the tests compare what they mean to compare whatever
-/// AFL_CLOSURE_JOBS / AFL_CLOSURE_WIDEN say (the CI runs legs with
-/// both set).
+/// Exact-analysis options with the widening pinned off, so the tests
+/// compare what they mean to compare whatever AFL_CLOSURE_WIDEN says
+/// (the CI runs a leg with it set).
 ClosureOptions exactOpts() {
   ClosureOptions O;
-  O.Jobs = 1;
   O.Widening = 0;
   return O;
 }
@@ -265,10 +264,10 @@ TEST(ClosureWidening, UnfiredBoundIsBitIdenticalToExact) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClosureWidening, AllFixpointModesAgreeUnderWidening) {
-  // The widened analysis must stay deterministic across the worklist,
-  // restart, and parallel partition-replay fixpoints, exactly like the
-  // exact analysis (ClosureDifferentialTest). permSource(4, 3) fires
-  // the bound heavily; the corpus programs exercise the no-fire path.
+  // The widened analysis must stay deterministic across the worklist
+  // and restart fixpoints, exactly like the exact analysis
+  // (ClosureDifferentialTest). permSource(4, 3) fires the bound heavily;
+  // the corpus programs exercise the no-fire path.
   std::vector<programs::BenchProgram> Cases = programs::smallCorpus();
   Cases.push_back({"Perm(4,3)", programs::permSource(4, 3)});
   for (const programs::BenchProgram &P : Cases) {
@@ -279,27 +278,19 @@ TEST(ClosureWidening, AllFixpointModesAgreeUnderWidening) {
     ClosureOptions Worklist = widenedOpts(2);
     ClosureOptions Restart = widenedOpts(2);
     Restart.UseWorklist = false;
-    ClosureOptions Parallel = widenedOpts(2);
-    Parallel.Jobs = 4;
-    Parallel.ParallelMinFrontier = 2;
 
     Artifacts W = artifactsFor(*Prog, Worklist);
     ASSERT_TRUE(W.Solved) << P.Name;
-    for (const auto &[Name, Opts] :
-         {std::pair<const char *, ClosureOptions>{"restart", Restart},
-          {"parallel", Parallel}}) {
-      SCOPED_TRACE(P.Name + std::string(" vs ") + Name);
-      Artifacts O = artifactsFor(*Prog, Opts);
-      EXPECT_TRUE(O.Solved);
-      EXPECT_EQ(W.System, O.System);
-      EXPECT_EQ(W.Printed, O.Printed);
-      // The post-fixpoint widening counters are content-derived and
-      // must agree too (a live counter would diverge under parallel
-      // speculation — this pins the recomputed design).
-      EXPECT_EQ(W.Closure.WidenedClosures, O.Closure.WidenedClosures);
-      EXPECT_EQ(W.Closure.WidenedVars, O.Closure.WidenedVars);
-      EXPECT_EQ(W.NumWidenedPinned, O.NumWidenedPinned);
-    }
+    SCOPED_TRACE(P.Name + std::string(" vs restart"));
+    Artifacts O = artifactsFor(*Prog, Restart);
+    EXPECT_TRUE(O.Solved);
+    EXPECT_EQ(W.System, O.System);
+    EXPECT_EQ(W.Printed, O.Printed);
+    // The post-fixpoint widening counters are content-derived and must
+    // agree too (this pins the recomputed design).
+    EXPECT_EQ(W.Closure.WidenedClosures, O.Closure.WidenedClosures);
+    EXPECT_EQ(W.Closure.WidenedVars, O.Closure.WidenedVars);
+    EXPECT_EQ(W.NumWidenedPinned, O.NumWidenedPinned);
   }
 }
 
@@ -308,40 +299,29 @@ TEST(ClosureWidening, AllFixpointModesAgreeUnderWidening) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClosureWidening, CapHitFallsBackConservativelyInEveryMode) {
-  // A cap far below what permSource(4, 3) needs: every fixpoint mode
-  // must report non-convergence, and aflCompletion must return the
-  // *same* conservative completion for each — the parallel engine may
-  // not "almost finish" into something different (the cap-parity bug
-  // this PR fixes was exactly a diverging parallel cap derivation).
+  // A cap far below what permSource(4, 3) needs: the worklist must
+  // report non-convergence, and aflCompletion must fall back to the
+  // conservative completion rather than "almost finish" into something
+  // different.
   ast::ASTContext Ctx;
   auto Prog = frontend(programs::permSource(4, 3), Ctx, "Perm(4,3)");
   ASSERT_NE(Prog, nullptr);
 
   ClosureOptions Seq = exactOpts();
   Seq.MaxSteps = 10;
-  ClosureOptions Par = exactOpts();
-  Par.MaxSteps = 10;
-  Par.Jobs = 4;
-  Par.ParallelMinFrontier = 2;
 
   ClosureAnalysis SeqCA(*Prog, Seq);
   EXPECT_FALSE(SeqCA.run());
   EXPECT_FALSE(SeqCA.error().empty());
-  ClosureAnalysis ParCA(*Prog, Par);
-  EXPECT_FALSE(ParCA.run());
-  EXPECT_FALSE(ParCA.error().empty());
 
-  completion::AflStats SeqStats, ParStats;
+  completion::AflStats SeqStats;
   regions::Completion SeqCpl = completion::aflCompletion(
       *Prog, &SeqStats, constraints::GenOptions(), solver::SolveOptions(),
       Seq);
-  regions::Completion ParCpl = completion::aflCompletion(
-      *Prog, &ParStats, constraints::GenOptions(), solver::SolveOptions(),
-      Par);
   EXPECT_FALSE(SeqStats.Solved);
-  EXPECT_FALSE(ParStats.Solved);
+  regions::Completion Conservative = completion::conservativeCompletion(*Prog);
   EXPECT_EQ(printRegionProgram(*Prog, &SeqCpl),
-            printRegionProgram(*Prog, &ParCpl));
+            printRegionProgram(*Prog, &Conservative));
 }
 
 //===----------------------------------------------------------------------===//

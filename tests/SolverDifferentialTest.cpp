@@ -1,10 +1,10 @@
-// Differential property test for the solver preprocessing layer: on the
-// builtin corpus and a large random-program sweep, the simplified solve
-// (and the simplified + parallel per-component solve) must produce
-// bit-identical output — Sat, state domains and boolean domains — to
-// the raw §4.3 solver. Every mode is additionally checked against the
-// byte-per-variable domain representation (`--no-packed-domains`), the
-// oracle for the packed bitvector default.
+// Differential property test for the solver: on the builtin corpus and a
+// large random-program sweep, the production path — per-shard simplify
+// and solve over packed domains, through solve() and through
+// solveCached() on a cold and then a warm cache — must produce
+// bit-identical output (Sat, state domains and boolean domains) to the
+// oracle: the raw §4.3 engine over byte-per-variable domains
+// (`aflc --no-simplify`).
 
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
@@ -25,7 +25,7 @@ using namespace afl::solver;
 namespace {
 
 /// Runs frontend + closure analysis + constraint generation and checks
-/// that all three solve modes agree exactly.
+/// that the production solve agrees exactly with the oracle.
 void expectSolveModesAgree(const std::string &Source, const char *Label) {
   ast::ASTContext Ctx;
   DiagnosticEngine Diags;
@@ -39,64 +39,42 @@ void expectSolveModesAgree(const std::string &Source, const char *Label) {
   CA.run();
   GenResult Gen = generateConstraints(*Prog, CA);
 
+  // Oracle: the raw byte-domain engine, no preprocessing.
   SolveOptions RawOpts;
   RawOpts.Simplify = false;
   SolveResult Raw = solve(Gen.Sys, RawOpts);
 
-  // Default mode: per-shard simplify + solve over the shards recorded
-  // by the emission-time union-find.
+  // Production: per-shard simplify + packed solve over the shards
+  // recorded by the emission-time union-find.
   SolveResult Simplified = solve(Gen.Sys);
 
-  // Monolithic mode: same preprocessing, but the emission shards are
-  // ignored — one whole-system simplify, components discovered (or just
-  // counted) at solve time. This is the pre-sharding pipeline.
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  SolveResult Mono = solve(Gen.Sys, MonoOpts);
-
-  SolveOptions ParOpts;
-  ParOpts.Jobs = 4;
-  ParOpts.ParallelMinConstraints = 0; // parallelize regardless of size
-  SolveResult Parallel = solve(Gen.Sys, ParOpts);
-
-  // Byte-domain oracle: the same three modes with the packed bitvector
-  // representation swapped out for byte-per-variable lanes.
-  SolveOptions ByteRawOpts = RawOpts;
-  ByteRawOpts.PackedDomains = false;
-  SolveResult ByteRaw = solve(Gen.Sys, ByteRawOpts);
-  SolveOptions ByteOpts;
-  ByteOpts.PackedDomains = false;
-  SolveResult ByteSimplified = solve(Gen.Sys, ByteOpts);
-  SolveOptions ByteParOpts = ParOpts;
-  ByteParOpts.PackedDomains = false;
-  SolveResult ByteParallel = solve(Gen.Sys, ByteParOpts);
+  // The same path behind the per-document shard cache: a cold call
+  // solves every distinct shard, a second call replays every shard.
+  ShardSolutionCache Cache;
+  SolveResult Cold = solveCached(Gen.Sys, SolveOptions(), Cache);
+  const uint64_t ColdHits = Cache.Hits, ColdMisses = Cache.Misses;
+  SolveResult Warm = solveCached(Gen.Sys, SolveOptions(), Cache);
+  EXPECT_EQ(Cache.Hits, ColdHits + Gen.Sys.numShards()) << Label;
+  EXPECT_EQ(Cache.Misses, ColdMisses) << Label;
 
   ASSERT_EQ(Raw.Sat, Simplified.Sat) << Label;
-  ASSERT_EQ(Raw.Sat, Mono.Sat) << Label;
-  ASSERT_EQ(Raw.Sat, Parallel.Sat) << Label;
   ASSERT_TRUE(Raw.Sat) << Label
                        << ": the conservative completion witnesses "
                           "satisfiability, so every generated system "
                           "must be Sat";
   EXPECT_EQ(Raw.StateDom, Simplified.StateDom) << Label;
   EXPECT_EQ(Raw.BoolDom, Simplified.BoolDom) << Label;
-  // Sharded emission must be solution-preserving: bit-identical domains
-  // against the monolithic pipeline, not merely equisatisfiable.
-  EXPECT_EQ(Mono.StateDom, Simplified.StateDom) << Label;
-  EXPECT_EQ(Mono.BoolDom, Simplified.BoolDom) << Label;
-  EXPECT_EQ(Simplified.StateDom, Parallel.StateDom) << Label;
-  EXPECT_EQ(Simplified.BoolDom, Parallel.BoolDom) << Label;
 
-  // Packed vs byte domains: bit-identical results in every mode.
-  ASSERT_EQ(ByteRaw.Sat, Raw.Sat) << Label;
-  EXPECT_EQ(ByteRaw.StateDom, Raw.StateDom) << Label;
-  EXPECT_EQ(ByteRaw.BoolDom, Raw.BoolDom) << Label;
-  ASSERT_EQ(ByteSimplified.Sat, Simplified.Sat) << Label;
-  EXPECT_EQ(ByteSimplified.StateDom, Simplified.StateDom) << Label;
-  EXPECT_EQ(ByteSimplified.BoolDom, Simplified.BoolDom) << Label;
-  ASSERT_EQ(ByteParallel.Sat, Parallel.Sat) << Label;
-  EXPECT_EQ(ByteParallel.StateDom, Parallel.StateDom) << Label;
-  EXPECT_EQ(ByteParallel.BoolDom, Parallel.BoolDom) << Label;
+  for (const auto &[Name, Cached] :
+       {std::pair<const char *, const SolveResult &>{"cold", Cold},
+        {"warm", Warm}}) {
+    SCOPED_TRACE(std::string(Label) + ", " + Name + " cache");
+    ASSERT_EQ(Cached.Sat, Raw.Sat);
+    EXPECT_EQ(Cached.StateDom, Simplified.StateDom);
+    EXPECT_EQ(Cached.BoolDom, Simplified.BoolDom);
+    EXPECT_EQ(Cached.StateDom, Raw.StateDom);
+    EXPECT_EQ(Cached.BoolDom, Raw.BoolDom);
+  }
 
   // The preprocessing proof obligations: every Eq constraint collapsed,
   // never more residual than original constraints.

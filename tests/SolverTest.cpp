@@ -4,6 +4,7 @@
 
 #include "constraints/ConstraintSystem.h"
 #include "solver/Solver.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -249,25 +250,19 @@ ConstraintSystem multiChainSystem(int Chains, int Len,
 }
 
 TEST(Solver, ShardedMatchesMonolithicAndRaw) {
-  // The three pipelines — sharded (default), monolithic (UseShards off),
-  // and raw (no preprocessing) — must agree bit-for-bit.
+  // The production pipeline (sharded) and the oracle (raw, no
+  // preprocessing) must agree bit-for-bit.
   std::vector<BoolVarId> LastBools;
   ConstraintSystem Sys = multiChainSystem(12, 15, &LastBools);
   EXPECT_EQ(Sys.numShards(), 12u);
 
   SolveResult Sharded = solve(Sys);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  SolveResult Mono = solve(Sys, MonoOpts);
   SolveOptions RawOpts;
   RawOpts.Simplify = false;
   SolveResult Raw = solve(Sys, RawOpts);
 
   ASSERT_TRUE(Sharded.Sat);
-  ASSERT_TRUE(Mono.Sat);
   ASSERT_TRUE(Raw.Sat);
-  EXPECT_EQ(Sharded.StateDom, Mono.StateDom);
-  EXPECT_EQ(Sharded.BoolDom, Mono.BoolDom);
   EXPECT_EQ(Sharded.StateDom, Raw.StateDom);
   EXPECT_EQ(Sharded.BoolDom, Raw.BoolDom);
   // The sharded path reports the emission shards as its components, with
@@ -279,40 +274,43 @@ TEST(Solver, ShardedMatchesMonolithicAndRaw) {
 }
 
 TEST(Solver, ShardedParallelJobsMatchSequential) {
-  ConstraintSystem Sys = multiChainSystem(12, 15, nullptr);
-  SolveOptions Par;
-  Par.Jobs = 4;
-  Par.ParallelMinConstraints = 0;
-  SolveResult RPar = solve(Sys, Par);
-  SolveResult RSeq = solve(Sys);
+  // 2400 constraints: at least the fan-out threshold, so on a multi-core
+  // host the shard groups are solved on the thread pool. The result must
+  // match the sequential raw oracle bit for bit.
+  ConstraintSystem Sys = multiChainSystem(12, 200, nullptr);
+  ASSERT_GE(Sys.numConstraints(), 2048u);
+  SolveResult RPar = solve(Sys);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  SolveResult RRaw = solve(Sys, RawOpts);
   ASSERT_TRUE(RPar.Sat);
-  EXPECT_GT(RPar.Simplify.ThreadsUsed, 1u);
-  EXPECT_EQ(RPar.StateDom, RSeq.StateDom);
-  EXPECT_EQ(RPar.BoolDom, RSeq.BoolDom);
+  ASSERT_TRUE(RRaw.Sat);
+  if (ThreadPool::hardwareThreads() > 1) {
+    EXPECT_GT(RPar.Simplify.ThreadsUsed, 1u);
+  }
+  EXPECT_EQ(RPar.StateDom, RRaw.StateDom);
+  EXPECT_EQ(RPar.BoolDom, RRaw.BoolDom);
 }
 
 TEST(Solver, UnsatShardFailsWholeSystem) {
   // One inconsistent shard among many healthy ones must surface as
-  // global Unsat on every path, including the parallel one (workers
-  // cannot return a partial success).
-  ConstraintSystem Sys = multiChainSystem(6, 10, nullptr);
+  // global Unsat on both paths. The system is above the fan-out
+  // threshold, so on a multi-core host the failing group runs on a pool
+  // worker, which cannot return a partial success.
+  ConstraintSystem Sys = multiChainSystem(12, 200, nullptr);
   StateVarId S1 = Sys.newState(StA);
   StateVarId S2 = Sys.newState(StD);
   Sys.addEq(S1, S2);
   SolveResult Sharded = solve(Sys);
   EXPECT_FALSE(Sharded.Sat);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  EXPECT_FALSE(solve(Sys, MonoOpts).Sat);
-  SolveOptions Par;
-  Par.Jobs = 4;
-  Par.ParallelMinConstraints = 0;
-  EXPECT_FALSE(solve(Sys, Par).Sat);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  EXPECT_FALSE(solve(Sys, RawOpts).Sat);
 }
 
 TEST(Solver, ShardedHandlesUnconstrainedVariables) {
   // Variables outside every shard keep their initial domains; unforced
-  // booleans default to false — same conventions as the monolithic path.
+  // booleans default to false — same conventions as the raw path.
   ConstraintSystem Sys;
   StateVarId Free = Sys.newState(StD);
   BoolVarId FreeB = Sys.newBool();
@@ -336,9 +334,9 @@ TEST(Solver, ZeroedDomainOutsideShardsUnsat) {
   Sys.restrictState(S, StA);
   Sys.restrictState(S, StD); // A & D = empty
   EXPECT_FALSE(solve(Sys).Sat);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  EXPECT_FALSE(solve(Sys, MonoOpts).Sat);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  EXPECT_FALSE(solve(Sys, RawOpts).Sat);
 }
 
 } // namespace

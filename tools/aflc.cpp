@@ -19,15 +19,9 @@
 ///   --lexical-free       ablation: deallocation only at letregion exit
 ///   --closure-restart    reference closure fixpoint: whole-program
 ///                        restart passes instead of the worklist
-///   --no-simplify        ablation: solve the raw constraint system
-///                        (skip union-find collapse + component split)
-///   --no-packed-domains  ablation: byte-per-variable solver domains
-///                        (oracle/bench baseline for the packed default)
-///   --solver-jobs N      worker threads for the per-component solve
-///                        (0 = all cores, 1 = sequential)
-///   --closure-jobs N     worker threads for the closure analysis
-///                        (0 = all cores, 1 = sequential worklist;
-///                        default: $AFL_CLOSURE_JOBS or 1)
+///   --no-simplify        reference solver: the raw §4.3 engine over the
+///                        unsimplified system, on byte-per-variable
+///                        domains (the differential oracle)
 ///   --closure-widen[=K]  k-limit closure contexts: canonically merge
 ///                        abstract region environments that agree on
 ///                        the consumer-visible regions once a closure
@@ -42,15 +36,17 @@
 ///   --metrics[=FILE]     emit per-stage metrics as JSON (stdout or FILE)
 ///   --batch DIR          run every .afl file under DIR (thread-pooled)
 ///   -j N                 worker threads for --batch (default: all cores)
+///   --serve              incremental analysis server: newline-delimited
+///                        JSON requests on stdin, responses on stdout
+///                        (protocol in docs/SERVER.md)
+///
+/// Any other argument starting with "--" is a usage error (exit 2).
 ///
 /// Environment:
 ///   AFL_ARENA_POOL=0|1       disable/enable the process-wide arena pool
 ///                            (default: 1; see docs/OBSERVABILITY.md)
 ///   AFL_ARENA_POOL_MAX=N     retention cap of the arena pool (default 32)
 ///   AFL_CLOSURE_WIDEN=K      default widening bound (see --closure-widen)
-///   --serve              incremental analysis server: newline-delimited
-///                        JSON requests on stdin, responses on stdout
-///                        (protocol in docs/SERVER.md)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +65,7 @@
 #include "support/FileIO.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <cstdlib>
@@ -92,11 +89,7 @@ void usage() {
       "  --validate          run structural validators\n"
       "  --no-freeapp --lexical-alloc --lexical-free   ablations\n"
       "  --closure-restart   reference closure fixpoint (restart mode)\n"
-      "  --no-simplify       solve the raw constraint system\n"
-      "  --no-packed-domains byte-per-variable solver domains (ablation)\n"
-      "  --no-shards         ignore emission-time shards (monolithic solve)\n"
-      "  --solver-jobs N     threads for the per-component solve\n"
-      "  --closure-jobs N    threads for the closure analysis\n"
+      "  --no-simplify       reference solver on the raw constraint system\n"
       "  --closure-widen[=K] merge closure contexts past K invisible\n"
       "                      color classes (bare: K=8; 0 = off;\n"
       "                      default: $AFL_CLOSURE_WIDEN or off)\n"
@@ -357,8 +350,16 @@ int main(int Argc, char **Argv) {
         usage();
         return 2;
       }
-      ServeOpts.IdleTimeoutMs =
-          parseJobsArg("--idle-timeout", Argv[I]) * 1000u;
+      unsigned Secs = parseJobsArg("--idle-timeout", Argv[I]);
+      if (Secs > UINT_MAX / 1000u) {
+        std::fprintf(stderr,
+                     "aflc: invalid value '%s' for --idle-timeout (at most "
+                     "%u seconds)\n",
+                     Argv[I], UINT_MAX / 1000u);
+        usage();
+        return 2;
+      }
+      ServeOpts.IdleTimeoutMs = Secs * 1000u;
     } else if (Arg == "--dump-constraints") {
       DumpConstraints = true;
     } else if (Arg.rfind("--trace=", 0) == 0) {
@@ -386,22 +387,6 @@ int main(int Argc, char **Argv) {
       Threads = parseJobsArg("-j", Arg.c_str() + 2);
     } else if (Arg == "--no-simplify") {
       Solve.Simplify = false;
-    } else if (Arg == "--no-packed-domains") {
-      Solve.PackedDomains = false;
-    } else if (Arg == "--no-shards") {
-      Solve.UseShards = false;
-    } else if (Arg == "--solver-jobs") {
-      if (++I >= Argc) {
-        usage();
-        return 2;
-      }
-      Solve.Jobs = parseJobsArg("--solver-jobs", Argv[I]);
-    } else if (Arg == "--closure-jobs") {
-      if (++I >= Argc) {
-        usage();
-        return 2;
-      }
-      Closure.Jobs = parseJobsArg("--closure-jobs", Argv[I]);
     } else if (Arg == "--closure-widen") {
       Closure.Widening = 8;
     } else if (Arg.rfind("--closure-widen=", 0) == 0) {
@@ -439,6 +424,12 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
       return 0;
+    } else if (Arg.rfind("--", 0) == 0) {
+      // No program starts with "--": comments are (* *) and unary minus
+      // takes an integer literal, so this is a mistyped or unknown flag.
+      std::fprintf(stderr, "aflc: unknown option '%s'\n", Arg.c_str());
+      usage();
+      return 2;
     } else {
       Source = Arg;
     }
