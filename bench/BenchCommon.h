@@ -11,6 +11,7 @@
 #define AFL_BENCH_BENCHCOMMON_H
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 #include "interp/TraceAnalysis.h"
 
 #include <cstdio>
@@ -31,10 +32,11 @@ inline driver::PipelineResult runTraced(const std::string &Name,
                  R.Diags.str().c_str());
     std::exit(1);
   }
-  if (R.Afl.ResultText != R.Reference.ResultText) {
+  interp::RefResult Ref = interp::runRef(R.Ast, *R.Ctx);
+  if (R.Afl.ResultText != Ref.ResultText) {
     std::fprintf(stderr, "%s: A-F-L result mismatch: %s vs %s\n",
                  Name.c_str(), R.Afl.ResultText.c_str(),
-                 R.Reference.ResultText.c_str());
+                 Ref.ResultText.c_str());
     std::exit(1);
   }
   return R;

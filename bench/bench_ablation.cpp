@@ -86,12 +86,6 @@ int main() {
   // context-set merge costs at runtime relative to `full`.
   Configs[6] = {"widen-2", {}, {}, {}};
   Configs[6].Closure.Widening = 2;
-  // Every column is about a *deliberate* knob: pin the env-sensitive
-  // closure default so AFL_CLOSURE_WIDEN cannot silently change what a
-  // column measures.
-  for (Config &C : Configs)
-    if (&C != &Configs[6])
-      C.Closure.Widening = 0;
 
   std::printf("ablation — max storable values held\n");
   std::printf("%-16s", "program");

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 #include "programs/RandomProgram.h"
 
 #include <cstdio>
@@ -32,7 +33,7 @@ int main() {
                    R.Diags.str().c_str());
       return 1;
     }
-    if (R.Afl.ResultText != R.Reference.ResultText) {
+    if (R.Afl.ResultText != interp::runRef(R.Ast, *R.Ctx).ResultText) {
       std::fprintf(stderr, "seed %u: result mismatch\n", Seed);
       return 1;
     }

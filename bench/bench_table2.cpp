@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 #include "programs/Corpus.h"
 
 #include <cstdio>
@@ -39,8 +40,9 @@ int main() {
                    R.Diags.str().c_str());
       return 1;
     }
-    if (R.Afl.ResultText != R.Reference.ResultText ||
-        R.Conservative.ResultText != R.Reference.ResultText) {
+    const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
+    if (R.Afl.ResultText != Reference ||
+        R.Conservative.ResultText != Reference) {
       std::fprintf(stderr, "%s: result mismatch\n", P.Name.c_str());
       return 1;
     }

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 
 #include <cstdio>
 
@@ -47,6 +48,7 @@ int main() {
       R.Afl.S.FinalValues);
 
   std::printf("\nresult: %s (reference interpreter: %s)\n",
-              R.Afl.ResultText.c_str(), R.Reference.ResultText.c_str());
+              R.Afl.ResultText.c_str(),
+              interp::runRef(R.Ast, *R.Ctx).ResultText.c_str());
   return 0;
 }

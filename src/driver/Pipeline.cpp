@@ -34,7 +34,6 @@ void PipelineStats::accumulate(const PipelineStats &Other) {
   ExtractSeconds += Other.ExtractSeconds;
   RunConservativeSeconds += Other.RunConservativeSeconds;
   RunAflSeconds += Other.RunAflSeconds;
-  RunReferenceSeconds += Other.RunReferenceSeconds;
   VmCompileSeconds += Other.VmCompileSeconds;
   VmExecuteSeconds += Other.VmExecuteSeconds;
   TotalSeconds += Other.TotalSeconds;
@@ -126,7 +125,6 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
     Stage("extract", Stats.ExtractSeconds);
     Stage("run_conservative", Stats.RunConservativeSeconds);
     Stage("run_afl", Stats.RunAflSeconds);
-    Stage("run_reference", Stats.RunReferenceSeconds);
     {
       // VM-backend split of the completed runs (zero under the tree
       // walker); a sub-split of run_conservative + run_afl above.
@@ -184,7 +182,6 @@ std::string driver::formatTimings(const PipelineStats &Stats,
   Row("extract", Stats.ExtractSeconds);
   Row("run (conservative)", Stats.RunConservativeSeconds);
   Row("run (A-F-L)", Stats.RunAflSeconds);
-  Row("run (reference)", Stats.RunReferenceSeconds);
   Row("total", Stats.TotalSeconds);
   if (Stats.VmCompileSeconds + Stats.VmExecuteSeconds > 0) {
     std::snprintf(Buf, sizeof(Buf),
@@ -243,7 +240,7 @@ std::string driver::formatTimings(const PipelineStats &Stats,
                   Pool.RetainedBytes / 1024);
     Out += Buf;
   } else {
-    Out += "memory: arena pool off ($AFL_ARENA_POOL=0)\n";
+    Out += "memory: arena pool off\n";
   }
   return Out;
 }
@@ -348,17 +345,6 @@ PipelineResult driver::runPipeline(std::string_view Source,
       R.Diags.error(SourceLoc(), "A-F-L run failed: " + R.Afl.Error);
       R.Stats.TotalSeconds = Total.seconds();
       return R;
-    }
-    if (!Options.SkipReference) {
-      Watch.reset();
-      R.Reference = interp::runRef(R.Ast, *R.Ctx, Options.MaxSteps);
-      R.Stats.RunReferenceSeconds = Watch.seconds();
-      if (!R.Reference.Ok) {
-        R.Diags.error(SourceLoc(),
-                      "reference run failed: " + R.Reference.Error);
-        R.Stats.TotalSeconds = Total.seconds();
-        return R;
-      }
     }
   }
 

@@ -13,7 +13,6 @@
 #include "ast/ASTContext.h"
 #include "completion/AflCompletion.h"
 #include "interp/Interp.h"
-#include "interp/RefInterp.h"
 #include "regions/Completion.h"
 #include "regions/RegionProgram.h"
 #include "support/Diagnostics.h"
@@ -34,8 +33,6 @@ struct PipelineOptions {
   uint64_t MaxSteps = 200'000'000;
   /// Skip the two instrumented runs (analysis only).
   bool SkipRuns = false;
-  /// Skip the reference (oracle) run.
-  bool SkipReference = false;
   /// Choice-point generation switches (ablations).
   constraints::GenOptions GenOptions;
   /// Solver path: sharded production or the raw oracle (`aflc
@@ -43,9 +40,9 @@ struct PipelineOptions {
   solver::SolveOptions SolveOptions;
   /// Closure-analysis fixpoint mode and caps (`aflc --closure-restart`).
   closure::ClosureOptions ClosureOptions;
-  /// Evaluator for the instrumented runs (`aflc --interp=vm|tree`,
-  /// $AFL_INTERP). Both backends are semantics-exact; see docs/VM.md.
-  interp::BackendKind Backend = interp::defaultBackend();
+  /// Evaluator for the instrumented runs (`aflc --interp=vm|tree`).
+  /// Both backends are semantics-exact; see docs/VM.md.
+  interp::BackendKind Backend = interp::BackendKind::Vm;
 };
 
 /// Per-stage observability for one pipeline run: wall-clock time of every
@@ -65,7 +62,6 @@ struct PipelineStats {
   double ExtractSeconds = 0; ///< completion extraction from the solution
   double RunConservativeSeconds = 0;
   double RunAflSeconds = 0;
-  double RunReferenceSeconds = 0;
   /// VM-backend split of the two completed runs: bytecode compilation vs
   /// execution wall time, summed over both runs. These are sub-splits of
   /// RunConservativeSeconds + RunAflSeconds (excluded from stageSum);
@@ -85,7 +81,7 @@ struct PipelineStats {
     return ParseSeconds + TypeInferSeconds + RegionInferSeconds +
            ConservativeSeconds + ClosureSeconds + ConstraintGenSeconds +
            SolveSeconds + ExtractSeconds + RunConservativeSeconds +
-           RunAflSeconds + RunReferenceSeconds;
+           RunAflSeconds;
   }
 
   /// Pointwise sum (for batch aggregation).
@@ -104,7 +100,6 @@ struct PipelineResult {
   completion::AflStats Analysis;
   interp::RunResult Conservative; ///< the T-T baseline run
   interp::RunResult Afl;          ///< the A-F-L run
-  interp::RefResult Reference;    ///< oracle value
   PipelineStats Stats;            ///< per-stage timings and sizes
 
   /// True if all requested stages succeeded.
@@ -147,7 +142,9 @@ struct FrontEnd {
 /// earlier artifacts remain inspectable.
 FrontEnd runFrontEnd(std::string_view Source, DiagnosticEngine &Diags);
 
-/// Runs the full pipeline on \p Source.
+/// Runs the full pipeline on \p Source. It does not run the
+/// region-oblivious reference interpreter: a caller that checks the
+/// completed runs against it calls interp::runRef(R.Ast, *R.Ctx).
 PipelineResult runPipeline(std::string_view Source,
                            const PipelineOptions &Options = PipelineOptions());
 

@@ -350,19 +350,17 @@ std::string Session::handleQuery(const json::Value &Params,
   }
   if (W == "run") {
     // Instrumented execution of the document under its current A-F-L
-    // completion. Served runs use the process-default backend — the
-    // bytecode VM unless $AFL_INTERP=tree (docs/VM.md).
+    // completion. Served runs use the bytecode VM (docs/VM.md).
     Stopwatch Watch;
     interp::RunResult R = interp::run(*Doc->Prog, Doc->AflC);
     double TotalSeconds = Watch.seconds();
-    bool Vm = interp::defaultBackend() == interp::BackendKind::Vm;
     std::string O = "{\"run\":{";
     O += "\"ok\":" + std::string(R.Ok ? "true" : "false");
     if (R.Ok)
       O += ",\"result\":" + jsonString(R.ResultText);
     else
       O += ",\"error\":" + jsonString(R.Error);
-    O += ",\"backend\":" + jsonString(Vm ? "vm" : "tree");
+    O += ",\"backend\":\"vm\"";
     O += ",\"stats\":{";
     O += "\"max_regions\":" + std::to_string(R.S.MaxRegions);
     O += ",\"region_allocs\":" + std::to_string(R.S.TotalRegionAllocs);

@@ -6,7 +6,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <pthread.h>
 #include <string_view>
@@ -663,17 +662,7 @@ bool interp::parseBackendName(std::string_view Text, BackendKind &Out) {
   return false;
 }
 
-BackendKind interp::defaultBackend() {
-  static const BackendKind Cached = [] {
-    BackendKind B = BackendKind::Vm;
-    // Unset, empty, or unrecognized: the library stays lenient (aflc
-    // validates the variable strictly and exits with usage instead).
-    if (const char *Env = std::getenv("AFL_INTERP"))
-      (void)parseBackendName(Env, B);
-    return B;
-  }();
-  return Cached;
-}
+BackendKind interp::defaultBackend() { return BackendKind::Vm; }
 
 RunResult interp::run(const RegionProgram &Prog, const Completion &C,
                       const RunOptions &Options) {

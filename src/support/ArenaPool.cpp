@@ -1,10 +1,6 @@
 #include "support/ArenaPool.h"
 
-#include "support/CliParse.h"
-
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 using namespace afl;
 
@@ -64,42 +60,17 @@ ArenaPool::Stats ArenaPool::stats() const {
   return Out;
 }
 
-size_t ArenaPool::maxPooled() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return MaxPooled;
-}
-
-void ArenaPool::setMaxPooled(size_t Max) {
-  std::lock_guard<std::mutex> Lock(M);
-  MaxPooled = Max;
-}
-
 ArenaPool &ArenaPool::global() {
   // Leaked singleton: arenas may be returned from static destructors, so
   // the pool must outlive every tenant.
-  static ArenaPool *P = [] {
-    auto *Pool = new ArenaPool();
-    unsigned Max = 0;
-    // Unset, empty, or malformed: the library stays lenient (aflc
-    // validates the variable strictly and exits with usage instead).
-    if (const char *Env = std::getenv("AFL_ARENA_POOL_MAX"))
-      if (parseCliUnsigned(Env, Max))
-        Pool->setMaxPooled(Max);
-    return Pool;
-  }();
+  static ArenaPool *P = new ArenaPool();
   return *P;
 }
 
 namespace {
 
 std::atomic<bool> &globalEnabledFlag() {
-  static std::atomic<bool> Enabled = [] {
-    const char *Env = std::getenv("AFL_ARENA_POOL");
-    // Only the literal "0" disables; anything else (including malformed
-    // values) leaves pooling on. The aflc driver rejects malformed values
-    // with exit 2 before library code consults this.
-    return !(Env && std::strcmp(Env, "0") == 0);
-  }();
+  static std::atomic<bool> Enabled{true};
   return Enabled;
 }
 

@@ -10,10 +10,9 @@
 /// the VM's region buffer pool) so a new tenant checks out the memory of a
 /// previous one instead of mapping fresh pages.
 ///
-/// Pooling is on by default and can be disabled with the environment
-/// variable \c AFL_ARENA_POOL=0 (the library treats any other value as
-/// enabled; the \c aflc driver validates strictly). The retention cap is
-/// tunable via \c AFL_ARENA_POOL_MAX.
+/// Pooling is on by default; setGlobalEnabled(false) turns it off for the
+/// process (tests and the arena-pool benchmark compare both settings).
+/// The global pool retains at most 32 arenas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,15 +60,13 @@ public:
 
   Stats stats() const;
 
-  size_t maxPooled() const;
-  void setMaxPooled(size_t Max);
+  /// Retention cap, fixed at construction.
+  size_t maxPooled() const { return MaxPooled; }
 
   /// The process-wide pool leased by PooledArena.
   static ArenaPool &global();
 
-  /// Whether PooledArena uses the global pool. Initialized leniently from
-  /// $AFL_ARENA_POOL (only the literal "0" disables; the CLI layer rejects
-  /// malformed values before this is consulted).
+  /// Whether PooledArena uses the global pool (default: on).
   static bool globalEnabled();
   static void setGlobalEnabled(bool Enabled);
 
@@ -84,7 +81,7 @@ private:
 
   mutable std::mutex M;
   std::vector<Arena> Classes[NumClasses];
-  size_t MaxPooled = 32;
+  const size_t MaxPooled = 32;
   size_t NumPooled = 0;
   Stats S;
 };

@@ -16,18 +16,6 @@
 
 namespace afl {
 
-/// Parses \p Text as an on/off toggle: exactly "0" (off) or "1" (on).
-/// Anything else ("", "on", "true", "2") fails with \p Out untouched —
-/// used for $AFL_ARENA_POOL, where the library is lenient but the aflc
-/// driver rejects a malformed value with a usage error.
-inline bool parseCliToggle(std::string_view Text, bool &Out) {
-  if (Text == "0" || Text == "1") {
-    Out = Text == "1";
-    return true;
-  }
-  return false;
-}
-
 /// Parses \p Text as a non-negative decimal integer. Returns false on an
 /// empty string, any non-digit (including a sign or trailing garbage),
 /// or overflow of unsigned; \p Out is untouched on failure.

@@ -2,10 +2,10 @@
 // (-j / --closure-widen / --listen / --max-connections / --idle-timeout
 // / @builtin N) either parses as a plain base-10 unsigned integer or it is a usage
 // error — never atoi's silent 0 / prefix salvage — and a backend name
-// (--interp= / $AFL_INTERP) is exactly "vm" or "tree", never a silent
-// fallback. Also covers writeTextFile, the helper behind --metrics=FILE:
-// an unopenable or unwritable target must be a reported failure, not a
-// success message over a file that was never written.
+// (--interp=) is exactly "vm" or "tree", never a silent fallback. Also
+// covers writeTextFile, the helper behind --metrics=FILE: an unopenable
+// or unwritable target must be a reported failure, not a success
+// message over a file that was never written.
 
 #include "interp/Interp.h"
 #include "support/CliParse.h"
@@ -73,29 +73,6 @@ TEST(CliParse, RejectsWhitespaceAndBasePrefixes) {
   EXPECT_FALSE(parseCliUnsigned("0x10", V));
   EXPECT_FALSE(parseCliUnsigned("1e3", V));
   EXPECT_EQ(V, 7u);
-}
-
-TEST(CliParse, ToggleAcceptsExactlyZeroAndOne) {
-  // $AFL_ARENA_POOL: aflc rejects anything but "0"/"1" with a usage
-  // error instead of the library's lenient anything-but-0-is-on.
-  bool V = true;
-  EXPECT_TRUE(parseCliToggle("0", V));
-  EXPECT_FALSE(V);
-  EXPECT_TRUE(parseCliToggle("1", V));
-  EXPECT_TRUE(V);
-}
-
-TEST(CliParse, ToggleRejectsEverythingElse) {
-  bool V = true;
-  EXPECT_FALSE(parseCliToggle("", V));
-  EXPECT_FALSE(parseCliToggle("2", V));
-  EXPECT_FALSE(parseCliToggle("on", V));
-  EXPECT_FALSE(parseCliToggle("off", V));
-  EXPECT_FALSE(parseCliToggle("true", V));
-  EXPECT_FALSE(parseCliToggle("01", V));
-  EXPECT_FALSE(parseCliToggle(" 1", V));
-  EXPECT_FALSE(parseCliToggle("1 ", V));
-  EXPECT_TRUE(V) << "output must be untouched on failure";
 }
 
 TEST(CliParse, BackendNamesParseExactly) {

@@ -175,9 +175,8 @@ std::unique_ptr<RegionProgram> frontend(const std::string &Source,
   return Prog;
 }
 
-/// Exact-analysis options with the widening pinned off, so the tests
-/// compare what they mean to compare whatever AFL_CLOSURE_WIDEN says
-/// (the CI runs a leg with it set).
+/// Exact-analysis options: widening off. That is the default; it is
+/// spelled out so each test states which side of the comparison it is.
 ClosureOptions exactOpts() {
   ClosureOptions O;
   O.Widening = 0;

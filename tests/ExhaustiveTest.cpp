@@ -5,6 +5,7 @@
 // immediately-applied closures, shadowing).
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 
 #include <gtest/gtest.h>
 
@@ -12,16 +13,33 @@ using namespace afl;
 
 namespace {
 
-/// Runs the pipeline and checks the full property set.
+/// Runs the pipeline and checks the full property set, then reruns both
+/// completions on the Fig. 2 tree walker: it must agree with the VM on
+/// the result and the five Table 2 counters.
 void checkAll(const std::string &Source) {
   SCOPED_TRACE(Source);
   driver::PipelineResult R = driver::runPipeline(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText);
-  EXPECT_EQ(R.Conservative.ResultText, R.Reference.ResultText);
+  const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
+  EXPECT_EQ(R.Afl.ResultText, Reference);
+  EXPECT_EQ(R.Conservative.ResultText, Reference);
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
   EXPECT_EQ(R.Afl.S.TotalValueAllocs, R.Conservative.S.TotalValueAllocs);
   EXPECT_TRUE(R.Analysis.Solved);
+
+  interp::RunOptions Tree;
+  Tree.Backend = interp::BackendKind::Tree;
+  for (const auto &[C, Vm] : {std::pair(&R.ConservativeC, &R.Conservative),
+                              std::pair(&R.AflC, &R.Afl)}) {
+    interp::RunResult T = interp::run(*R.Prog, *C, Tree);
+    ASSERT_TRUE(T.Ok) << T.Error;
+    EXPECT_EQ(T.ResultText, Vm->ResultText);
+    EXPECT_EQ(T.S.MaxRegions, Vm->S.MaxRegions);
+    EXPECT_EQ(T.S.TotalRegionAllocs, Vm->S.TotalRegionAllocs);
+    EXPECT_EQ(T.S.TotalValueAllocs, Vm->S.TotalValueAllocs);
+    EXPECT_EQ(T.S.MaxValues, Vm->S.MaxValues);
+    EXPECT_EQ(T.S.FinalValues, Vm->S.FinalValues);
+  }
 }
 
 // Small "atoms" to plug into combinator shapes.

@@ -13,6 +13,7 @@
 //       only move region operations, never value writes).
 
 #include "driver/Pipeline.h"
+#include "interp/RefInterp.h"
 #include "programs/RandomProgram.h"
 
 #include <gtest/gtest.h>
@@ -30,10 +31,11 @@ TEST_P(RandomProgramProperty, AflSoundAndNeverWorse) {
 
   driver::PipelineResult R = driver::runPipeline(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
+  const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
 
   // P1/P2: both runs succeeded (runPipeline fails otherwise); values agree.
-  EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText);
-  EXPECT_EQ(R.Conservative.ResultText, R.Reference.ResultText);
+  EXPECT_EQ(R.Afl.ResultText, Reference);
+  EXPECT_EQ(R.Conservative.ResultText, Reference);
 
   // P3: never worse than Tofte/Talpin.
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
@@ -63,7 +65,8 @@ TEST_P(FirstOrderProperty, DeeperFirstOrderPrograms) {
 
   driver::PipelineResult R = driver::runPipeline(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText);
+  const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
+  EXPECT_EQ(R.Afl.ResultText, Reference);
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
   EXPECT_EQ(R.Afl.S.TotalValueAllocs, R.Conservative.S.TotalValueAllocs);
 }
@@ -86,7 +89,8 @@ TEST_P(ClosureEscapeProperty, PoolPathSoundAndNeverWorse) {
 
   driver::PipelineResult R = driver::runPipeline(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText);
+  const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
+  EXPECT_EQ(R.Afl.ResultText, Reference);
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
   EXPECT_EQ(R.Afl.S.TotalValueAllocs, R.Conservative.S.TotalValueAllocs);
   EXPECT_TRUE(R.Analysis.Solved);
@@ -107,8 +111,9 @@ TEST_P(DeepEverythingProperty, AllFeaturesAtDepthSeven) {
 
   driver::PipelineResult R = driver::runPipeline(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText);
-  EXPECT_EQ(R.Conservative.ResultText, R.Reference.ResultText);
+  const std::string Reference = interp::runRef(R.Ast, *R.Ctx).ResultText;
+  EXPECT_EQ(R.Afl.ResultText, Reference);
+  EXPECT_EQ(R.Conservative.ResultText, Reference);
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
   EXPECT_LE(R.Afl.S.MaxRegions, R.Conservative.S.MaxRegions);
   EXPECT_EQ(R.Afl.S.TotalValueAllocs, R.Conservative.S.TotalValueAllocs);

@@ -17,7 +17,6 @@
 #include "driver/Pipeline.h"
 #include "driver/Server.h"
 #include "driver/Session.h"
-#include "interp/Interp.h"
 #include "programs/Corpus.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -213,11 +212,8 @@ TEST(ServerProtocol, RunQueryExecutesDocument) {
   ASSERT_TRUE(okOf(Q));
   EXPECT_TRUE(dig(Q, {"result", "run", "ok"})->asBool());
   EXPECT_EQ(dig(Q, {"result", "run", "result"})->asString(), "3");
-  // Served runs use the process-default backend (VM unless
-  // $AFL_INTERP=tree, e.g. the CI tree-walker leg).
-  const char *Backend =
-      interp::defaultBackend() == interp::BackendKind::Vm ? "vm" : "tree";
-  EXPECT_EQ(dig(Q, {"result", "run", "backend"})->asString(), Backend);
+  // Served runs use the bytecode VM.
+  EXPECT_EQ(dig(Q, {"result", "run", "backend"})->asString(), "vm");
   EXPECT_GT(dig(Q, {"result", "run", "stats", "value_allocs"})->asInt(), 0);
   EXPECT_GT(dig(Q, {"result", "run", "stats", "memory_ops"})->asInt(), 0);
   ASSERT_NE(dig(Q, {"result", "run", "micros", "total_us"}), nullptr);

@@ -144,12 +144,14 @@ TEST(VmDifferential, BuiltinScaledPrograms) {
 
 TEST(VmDifferential, RandomPrograms500) {
   // Same feature-space sweep as ClosureDifferential.RandomPrograms500:
-  // higher-order, recursive and closure-escape shapes all represented.
+  // higher-order, recursive, closure-escape and nested-HOF shapes all
+  // represented.
   for (unsigned Seed = 0; Seed != 500; ++Seed) {
     programs::RandomProgramOptions Options;
     Options.HigherOrder = Seed % 3 != 0;
     Options.Recursion = Seed % 4 != 0;
     Options.ClosureEscape = Seed % 5 == 0;
+    Options.NestedHof = Seed % 7 == 0;
     std::string Source = programs::generateRandomProgram(Seed, Options);
     std::string Label = "seed " + std::to_string(Seed);
     expectVmMatchesTree(Source, Label.c_str());

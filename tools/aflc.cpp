@@ -13,7 +13,9 @@
 ///   --report             print the completion report (§7 feedback)
 ///   --stats              print the five Table 2 metrics for both systems
 ///   --trace=FILE         write the memory-over-time CSV traces to FILE
-///   --validate           run the structural validators and report
+///   --validate           run the structural validators and report; also
+///                        checks both completed runs against the
+///                        region-oblivious reference interpreter
 ///   --no-freeapp         ablation: disable free_app choice points
 ///   --lexical-alloc      ablation: allocation only at letregion entry
 ///   --lexical-free       ablation: deallocation only at letregion exit
@@ -26,11 +28,10 @@
 ///                        abstract region environments that agree on
 ///                        the consumer-visible regions once a closure
 ///                        exceeds K invisible color classes (bare
-///                        flag: K=8; 0 disables; default:
-///                        $AFL_CLOSURE_WIDEN or off)
+///                        flag: K=8; 0 disables; default: off)
+///   --dump-constraints   print the generated constraint system
 ///   --interp=vm|tree     evaluator for the instrumented runs: bytecode
 ///                        VM (default) or the Fig. 2 tree walker
-///                        (default: $AFL_INTERP or vm)
 ///   --no-run             analysis only (skip the instrumented runs)
 ///   --timings            print the per-stage wall-time table
 ///   --metrics[=FILE]     emit per-stage metrics as JSON (stdout or FILE)
@@ -39,14 +40,16 @@
 ///   --serve              incremental analysis server: newline-delimited
 ///                        JSON requests on stdin, responses on stdout
 ///                        (protocol in docs/SERVER.md)
+///   --listen PORT        serve on 127.0.0.1:PORT instead (implies --serve)
+///   --max-connections N  concurrent-connection cap in listen mode
+///   --idle-timeout SECS  close idle connections after SECS (0 = never)
 ///
-/// Any other argument starting with "--" is a usage error (exit 2).
+/// Any other argument starting with "--" is a usage error (exit 2). So is
+/// an argument the chosen mode would ignore: --serve/--listen take only
+/// the server flags, and --batch takes none of --emit, --report, --stats,
+/// --validate, --dump-constraints and --trace.
 ///
-/// Environment:
-///   AFL_ARENA_POOL=0|1       disable/enable the process-wide arena pool
-///                            (default: 1; see docs/OBSERVABILITY.md)
-///   AFL_ARENA_POOL_MAX=N     retention cap of the arena pool (default 32)
-///   AFL_CLOSURE_WIDEN=K      default widening bound (see --closure-widen)
+/// The environment does not change what aflc does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +60,10 @@
 #include "driver/Pipeline.h"
 #include "driver/Server.h"
 #include "interp/Interp.h"
+#include "interp/RefInterp.h"
 #include "programs/Corpus.h"
 #include "regions/RegionPrinter.h"
 #include "regions/Validator.h"
-#include "support/ArenaPool.h"
 #include "support/CliParse.h"
 #include "support/FileIO.h"
 
@@ -78,6 +81,10 @@ using namespace afl;
 
 namespace {
 
+/// Schema version of the --metrics JSON (docs/OBSERVABILITY.md): bumped
+/// whenever a key disappears or changes meaning.
+constexpr int MetricsVersion = 2;
+
 void usage() {
   std::fprintf(
       stderr,
@@ -86,16 +93,15 @@ void usage() {
       "  --report            completion report\n"
       "  --stats             memory metrics for both systems\n"
       "  --trace=FILE        write CSV traces\n"
-      "  --validate          run structural validators\n"
+      "  --validate          run structural validators and check both runs\n"
+      "                      against the reference interpreter\n"
       "  --no-freeapp --lexical-alloc --lexical-free   ablations\n"
       "  --closure-restart   reference closure fixpoint (restart mode)\n"
       "  --no-simplify       reference solver on the raw constraint system\n"
       "  --closure-widen[=K] merge closure contexts past K invisible\n"
-      "                      color classes (bare: K=8; 0 = off;\n"
-      "                      default: $AFL_CLOSURE_WIDEN or off)\n"
+      "                      color classes (bare: K=8; 0 = off; default off)\n"
       "  --dump-constraints  print the generated constraint system\n"
-      "  --interp=vm|tree    evaluator for the runs (default: $AFL_INTERP "
-      "or vm)\n"
+      "  --interp=vm|tree    evaluator for the runs (default: vm)\n"
       "  --no-run            skip instrumented runs\n"
       "  --timings           per-stage wall-time table\n"
       "  --metrics[=FILE]    per-stage metrics as JSON\n"
@@ -107,7 +113,9 @@ void usage() {
       "(default 8)\n"
       "  --idle-timeout SECS close idle connections after SECS (0 = never;\n"
       "                      default 300)\n"
-      "  env: AFL_ARENA_POOL=0|1, AFL_ARENA_POOL_MAX=N  arena pooling\n");
+      "  --serve/--listen take only the server flags; --batch takes no\n"
+      "  per-program output flag (--emit --report --stats --validate\n"
+      "  --dump-constraints --trace)\n");
 }
 
 /// Strictly parses the numeric argument \p Text of \p Flag. Anything
@@ -126,8 +134,7 @@ unsigned parseJobsArg(const char *Flag, const char *Text) {
   return Value;
 }
 
-/// Strictly parses the backend name of --interp= / $AFL_INTERP. Unlike
-/// the library's lenient defaultBackend(), a typo here ("v", "treee")
+/// Strictly parses the backend name of --interp=. A typo ("v", "treee")
 /// is a usage error, not a silent fallback to the VM.
 interp::BackendKind parseInterpArg(const char *What, const char *Text) {
   interp::BackendKind B = interp::BackendKind::Vm;
@@ -241,7 +248,7 @@ int runBatchMode(const std::string &Dir, const driver::PipelineOptions &Options,
 
   if (Metrics) {
     MetricsRegistry Reg;
-    Reg.set("aflc_metrics_version", 1);
+    Reg.set("aflc_metrics_version", MetricsVersion);
     {
       MetricScope S(Reg, "batch");
       Batch.recordMetrics(Reg);
@@ -268,37 +275,24 @@ int main(int Argc, char **Argv) {
   constraints::GenOptions Gen;
   solver::SolveOptions Solve;
   closure::ClosureOptions Closure;
-
-  // The library reads $AFL_INTERP leniently; the CLI rejects a bad value
-  // up front so a typo cannot silently run the wrong evaluator.
   interp::BackendKind Backend = interp::BackendKind::Vm;
-  if (const char *Env = std::getenv("AFL_INTERP"))
-    Backend = parseInterpArg("$AFL_INTERP", Env);
-
-  // Same strictness for the arena-pool knobs: the library treats anything
-  // but "0" as enabled, but a typo here ("ture", "off") is a usage error.
-  if (const char *Env = std::getenv("AFL_ARENA_POOL")) {
-    bool Enabled = true;
-    if (!parseCliToggle(Env, Enabled)) {
-      std::fprintf(stderr,
-                   "aflc: invalid value '%s' for $AFL_ARENA_POOL "
-                   "(expected '0' or '1')\n",
-                   Env);
-      usage();
-      return 2;
-    }
-    ArenaPool::setGlobalEnabled(Enabled);
-  }
-  if (const char *Env = std::getenv("AFL_ARENA_POOL_MAX"))
-    ArenaPool::global().setMaxPooled(
-        parseJobsArg("$AFL_ARENA_POOL_MAX", Env));
-  // The library reads $AFL_CLOSURE_WIDEN leniently (invalid -> widening
-  // off); here a typo is a usage error, not a silently-exact analysis.
-  if (const char *Env = std::getenv("AFL_CLOSURE_WIDEN"))
-    Closure.Widening = parseJobsArg("$AFL_CLOSURE_WIDEN", Env);
+  // The first argument each mode would ignore; either is a usage error
+  // in that mode. Values consumed with their flag (--listen 0, -j 4,
+  // @appel 16) are never looked at here.
+  std::string NotForServe, NotForBatch;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    bool ServerArg = Arg == "--serve" || Arg == "--listen" ||
+                     Arg == "--max-connections" || Arg == "--idle-timeout";
+    bool PerProgramOutput =
+        Arg.rfind("--emit=", 0) == 0 || Arg == "--report" ||
+        Arg == "--stats" || Arg == "--validate" ||
+        Arg == "--dump-constraints" || Arg.rfind("--trace=", 0) == 0;
+    if (!ServerArg && NotForServe.empty())
+      NotForServe = Arg;
+    if (PerProgramOutput && NotForBatch.empty())
+      NotForBatch = Arg;
     if (Arg.rfind("--emit=", 0) == 0) {
       Emit = Arg.substr(7);
       if (Emit != "afl" && Emit != "tt" && Emit != "both") {
@@ -434,6 +428,15 @@ int main(int Argc, char **Argv) {
       Source = Arg;
     }
   }
+  std::string Ignored =
+      Serve ? NotForServe : BatchDir.empty() ? std::string() : NotForBatch;
+  if (!Ignored.empty()) {
+    std::fprintf(stderr, "aflc: '%s' has no effect with %s\n",
+                 Ignored.c_str(),
+                 Listen ? "--listen" : Serve ? "--serve" : "--batch");
+    usage();
+    return 2;
+  }
   driver::PipelineOptions Options;
   Options.SkipRuns = NoRun;
   Options.RecordTrace = !TraceFile.empty();
@@ -485,9 +488,24 @@ int main(int Argc, char **Argv) {
     std::vector<std::string> E2 = regions::validateCompletion(*R.Prog, R.AflC);
     std::vector<std::string> E3 =
         regions::validateCompletion(*R.Prog, R.ConservativeC);
-    size_t Total = E1.size() + E2.size() + E3.size();
+    // The §6 oracle: both completed runs compute the value of the
+    // region-oblivious reference interpreter.
+    std::vector<std::string> E4;
+    if (!NoRun) {
+      interp::RefResult Ref = interp::runRef(R.Ast, *R.Ctx, Options.MaxSteps);
+      if (!Ref.Ok)
+        E4.push_back("reference run failed: " + Ref.Error);
+      else
+        for (const auto &[Name, Run] :
+             {std::pair("A-F-L", &R.Afl), std::pair("T-T", &R.Conservative)})
+          if (Run->ResultText != Ref.ResultText)
+            E4.push_back(std::string(Name) + " result " + Run->ResultText +
+                         " differs from the reference result " +
+                         Ref.ResultText);
+    }
+    size_t Total = E1.size() + E2.size() + E3.size() + E4.size();
     std::printf("validation: %zu issue(s)\n", Total);
-    for (const auto *Set : {&E1, &E2, &E3})
+    for (const auto *Set : {&E1, &E2, &E3, &E4})
       for (const std::string &Message : *Set)
         std::printf("  %s\n", Message.c_str());
     if (Total)
@@ -531,7 +549,7 @@ int main(int Argc, char **Argv) {
 
   if (Metrics) {
     MetricsRegistry Reg;
-    Reg.set("aflc_metrics_version", 1);
+    Reg.set("aflc_metrics_version", MetricsVersion);
     {
       MetricScope S(Reg, "pipeline");
       R.recordMetrics(Reg);

@@ -51,7 +51,7 @@ def requests():
 # these scopes — or the same scope emitted at a new nesting level —
 # cannot silently re-introduce run-to-run noise into the golden:
 #   timings      wall-clock, never reproducible
-#   memory       arena-pool counters; vary with $AFL_ARENA_POOL/history
+#   memory       arena-pool counters; vary with request history
 #   connections  exist only on the socket transport
 VOLATILE_SCOPES = frozenset({"timings", "memory", "connections"})
 
