@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 using namespace afl;
 using namespace afl::constraints;
@@ -38,12 +39,12 @@ public:
     // Pre-size: genApp holds references into this across recursion, so
     // the vector must never reallocate.
     CalleeCache.resize(CA.numClosures());
-    for (auto &Index : BoolIndex)
-      Index.resize(Prog.numNodes());
+    ChainBools.resize(Prog.numNodes());
+    FreeAppBools.assign(Prog.numNodes(), NoBool);
   }
 
   void run() {
-    const CtxEntry &Root = genCtx(Prog.Root, CA.rootEnv());
+    const CtxEntry &Root = genCtx(Prog.Root, CA.rootEnv(), nullptr);
     // Program start: all global regions unallocated.
     // Program end: the result is observed, so every global (result) region
     // must be allocated. (They are reclaimed by program exit.)
@@ -59,6 +60,9 @@ public:
   size_t numShapes() const { return IV.numShapes(); }
 
 private:
+  static constexpr BoolVarId NoBool = static_cast<BoolVarId>(-1);
+  static constexpr StateVarId NoState = static_cast<StateVarId>(-1);
+
   /// Cached in/out vectors of a generated context, indexed by the closure
   /// analysis' dense context id.
   struct CtxEntry {
@@ -68,24 +72,18 @@ private:
 
   ConstraintSystem &sys() { return Out.Sys; }
 
-  /// Shared boolean for a syntactic choice point. Indexed per (kind,
-  /// node) as a region→bool list kept sorted by region: the chains ask
-  /// in ascending region order and every context of a node re-asks for
-  /// the same regions, so lookups binary-search a short node-local list
-  /// (the previous linear scan was quadratic in the effect-set size and
-  /// showed up in generation profiles).
-  BoolVarId boolFor(RNodeId Node, COpKind Kind, RegionVarId Region) {
-    auto &Entries =
-        BoolIndex[static_cast<unsigned>(Kind)][Node];
-    auto It = std::lower_bound(
-        Entries.begin(), Entries.end(), Region,
-        [](const auto &E, RegionVarId R) { return E.first < R; });
-    if (It != Entries.end() && It->first == Region)
-      return It->second;
-    BoolVarId B = sys().newBool();
-    Entries.insert(It, {Region, B});
-    Out.Choices.push_back({Node, Kind, Region, B});
-    return B;
+  /// Shared boolean for a syntactic choice point, kept in \p Slot: the
+  /// node's entry in FreeAppBools, or one of its ChainBools (indexed by
+  /// the region's position in the node's overall effect, which every
+  /// context of the node shares). Created on first use, so booleans and
+  /// Choices entries are numbered in first-use order.
+  BoolVarId choiceBool(BoolVarId &Slot, RNodeId Node, COpKind Kind,
+                       RegionVarId Region) {
+    if (Slot == NoBool) {
+      Slot = sys().newBool();
+      Out.Choices.push_back({Node, Kind, Region, Slot});
+    }
+    return Slot;
   }
 
   StateVec freshVec(ShapeId Shape) {
@@ -95,6 +93,25 @@ private:
     V.Vars.reserve(N);
     for (size_t I = 0; I != N; ++I)
       V.Vars.push_back(sys().newState());
+    return V;
+  }
+
+  /// The in vector of a context first reached from a caller's chain: the
+  /// caller's own variable for every color the two shapes share, a fresh
+  /// variable (ascending color order) for each color the context adds —
+  /// its letregion-bound regions. Sharing the variable states what an
+  /// `Eq` link to a fresh one would, with no link to emit and collapse.
+  StateVec inherit(const StateVec &From, ShapeId Sh) {
+    if (From.Shape == Sh)
+      return From;
+    StateVec V;
+    V.Shape = Sh;
+    V.Vars.assign(IV.size(Sh), NoState);
+    for (const auto &[IF, IS] : IV.common(From.Shape, Sh))
+      V.Vars[IS] = From.Vars[IF];
+    for (StateVarId &S : V.Vars)
+      if (S == NoState)
+        S = sys().newState();
     return V;
   }
 
@@ -143,26 +160,79 @@ private:
     sys().restrictState(svAt(V, C), StA);
   }
 
+  /// The context's plan: for the I-th region of \p N's overall effect,
+  /// PlanStack[Base + I] receives its position in the returned shape (the
+  /// ascending set of the regions' colors in \p Env). Both chains read
+  /// the plan instead of searching the environment and the shape again.
+  ShapeId planContext(const RExpr *N, RegEnvId Env, size_t Base) {
+    const std::set<RegionVarId> &Eff = N->overallEffect();
+    const closure::RegEnvMap &Map = CA.envs().get(Env);
+    std::vector<Color> Colors;
+    Colors.reserve(Eff.size());
+    // Both the environment and the effect ascend by region, so each
+    // search starts where the previous one ended.
+    auto It = Map.begin();
+    for (RegionVarId R : Eff) {
+      It = std::lower_bound(
+          It, Map.end(), R,
+          [](const auto &Entry, RegionVarId V) { return Entry.first < V; });
+      assert(It != Map.end() && It->first == R &&
+             "region variable not in abstract environment");
+      Colors.push_back(It->second);
+    }
+    if (std::adjacent_find(Colors.begin(), Colors.end(),
+                           std::greater_equal<Color>()) == Colors.end()) {
+      // Strictly ascending (the common case): the colors are the shape
+      // and region I sits at position I.
+      for (uint32_t I = 0; I != Colors.size(); ++I)
+        PlanStack[Base + I] = I;
+      return IV.intern(FlatSet<Color>::fromSorted(std::move(Colors)));
+    }
+    std::vector<Color> Sorted = Colors;
+    std::sort(Sorted.begin(), Sorted.end());
+    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
+    ShapeId Sh = IV.intern(FlatSet<Color>::fromSorted(std::move(Sorted)));
+    for (size_t I = 0; I != Colors.size(); ++I)
+      PlanStack[Base + I] = static_cast<uint32_t>(IV.indexOf(Sh, Colors[I]));
+    return Sh;
+  }
+
   /// Generates the in/out vectors for context (N, contextEnv(N, Incoming)).
   /// Cached so all call sites of a shared function body link to the same
   /// vectors; recursion terminates because the entry is marked done before
   /// the body is processed. The returned reference is stable: the cache is
   /// pre-sized to the analysis' context count and never reallocates.
-  const CtxEntry &genCtx(const RExpr *N, RegEnvId Incoming) {
+  ///
+  /// \p Caller is the state vector of the caller's chain at the point the
+  /// context starts (null for function bodies, which keep their own
+  /// vectors and are linked by the Fig. 4 B-equalities). The first visit
+  /// threads it into the context's in vector; a later visit to the shared
+  /// context links it with `Eq` constraints.
+  const CtxEntry &genCtx(const RExpr *N, RegEnvId Incoming,
+                         const StateVec *Caller) {
     RegEnvId Env = CA.contextEnv(N, Incoming);
     uint32_t Ctx = CA.ctxIndex(N->id(), Env);
     assert(Ctx != closure::ClosureAnalysis::NoCtx &&
            "constraint generation reached a context the closure analysis "
            "did not register");
     CtxEntry &E = CtxCache[Ctx];
-    if (E.Done)
+    if (E.Done) {
+      if (Caller)
+        linkEq(*Caller, E.In);
       return E;
+    }
     E.Done = true;
 
-    ShapeId Sh = IV.intern(CA.envs().colorsOf(Env, N->overallEffect()));
-    E.In = freshVec(Sh);
+    const std::set<RegionVarId> &Eff = N->overallEffect();
+    const size_t NumEff = Eff.size();
+    const size_t Base = PlanStack.size();
+    PlanStack.resize(Base + NumEff);
+    ShapeId Sh = planContext(N, Env, Base);
+    E.In = Caller ? inherit(*Caller, Sh) : freshVec(Sh);
     E.Out = freshVec(Sh);
     ++Out.NumContexts;
+    if (ChainBools[N->id()].empty())
+      ChainBools[N->id()].assign(2 * NumEff, NoBool);
 
     // letregion entry: freshly introduced regions start unallocated.
     for (RegionVarId R : N->boundRegions())
@@ -175,31 +245,54 @@ private:
     // choice point. The chain rewrites positions of the shared shape in
     // place — every touched color is in the overall effect, hence in Sh.
     StateVec Cur = E.In;
-    for (RegionVarId R : N->overallEffect()) {
-      if (!Options.LateAlloc && !introduces(N, R))
+    size_t I = 0;
+    for (auto It = Eff.begin(); It != Eff.end(); ++It, ++I) {
+      if (!Options.LateAlloc && !introduces(N, *It))
         continue;
-      size_t Idx = IV.indexOf(Sh, CA.envs().colorOf(Env, R));
-      assert(Idx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::AllocBefore, R);
+      uint32_t Pos = PlanStack[Base + I];
+      BoolVarId B = choiceBool(ChainBools[N->id()][I], N->id(),
+                               COpKind::AllocBefore, *It);
       StateVarId Next = sys().newState();
-      sys().addAllocTriple(Cur.Vars[Idx], B, Next);
-      Cur.Vars[Idx] = Next;
+      sys().addAllocTriple(Cur.Vars[Pos], B, Next);
+      Cur.Vars[Pos] = Next;
     }
 
     StateVec CoreOut = genCore(N, Env, std::move(Cur));
     assert(CoreOut.Shape == Sh && "core must preserve the context shape");
 
     // Post-chain: potential free_after for every overall-effect region.
-    for (RegionVarId R : N->overallEffect()) {
-      if (!Options.EarlyFree && !introduces(N, R))
-        continue;
-      size_t Idx = IV.indexOf(Sh, CA.envs().colorOf(Env, R));
-      assert(Idx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::FreeAfter, R);
-      StateVarId Next = sys().newState();
-      sys().addDeallocTriple(CoreOut.Vars[Idx], B, Next);
-      CoreOut.Vars[Idx] = Next;
+    // The last triple at each position targets the out vector's variable
+    // directly; a position with no triple (lexical-free ablation) is
+    // linked to it by the Eq below. Positions are distinct unless two
+    // regions share a color (fewer positions than regions); then only the
+    // last triple at a shared position targets the out vector.
+    auto HasFree = [&](RegionVarId R) {
+      return Options.EarlyFree || introduces(N, R);
+    };
+    std::vector<uint8_t> LastAtPos;
+    if (IV.size(Sh) != NumEff) {
+      LastAtPos.assign(NumEff, 0);
+      std::vector<uint8_t> Seen(IV.size(Sh), 0);
+      size_t J = NumEff;
+      for (auto It = Eff.rbegin(); It != Eff.rend(); ++It) {
+        uint32_t Pos = PlanStack[Base + --J];
+        if (HasFree(*It) && !Seen[Pos])
+          Seen[Pos] = LastAtPos[J] = 1;
+      }
     }
+    I = 0;
+    for (auto It = Eff.begin(); It != Eff.end(); ++It, ++I) {
+      if (!HasFree(*It))
+        continue;
+      uint32_t Pos = PlanStack[Base + I];
+      BoolVarId B = choiceBool(ChainBools[N->id()][NumEff + I], N->id(),
+                               COpKind::FreeAfter, *It);
+      StateVarId Next = LastAtPos.empty() || LastAtPos[I] ? E.Out.Vars[Pos]
+                                                          : sys().newState();
+      sys().addDeallocTriple(CoreOut.Vars[Pos], B, Next);
+      CoreOut.Vars[Pos] = Next;
+    }
+    PlanStack.resize(Base);
 
     linkEq(CoreOut, E.Out);
 
@@ -223,14 +316,12 @@ private:
     return false;
   }
 
-  /// Links child (in its own context) into the current chain: equates
-  /// \p Cur with the child's in vector and returns the child's out vector
+  /// Links child (in its own context) into the current chain: threads
+  /// \p Cur into the child's in vector and returns the child's out vector
   /// projected onto shape \p My.
   StateVec genChild(const RExpr *Child, RegEnvId Env, const StateVec &Cur,
                     ShapeId My) {
-    const CtxEntry &C = genCtx(Child, Env);
-    linkEq(Cur, C.In);
-    return project(C.Out, My);
+    return project(genCtx(Child, Env, &Cur).Out, My);
   }
 
   StateVec genCore(const RExpr *N, RegEnvId Env, StateVec Cur) {
@@ -270,10 +361,8 @@ private:
       StateVec AfterCond = genChild(I->cond(), Env, Cur, My);
       // The condition's region is read after it is evaluated.
       requireA(AfterCond, CA.envs().colorOf(Env, N->readRegions()[0]));
-      const CtxEntry &T = genCtx(I->thenExpr(), Env);
-      const CtxEntry &E = genCtx(I->elseExpr(), Env);
-      linkEq(AfterCond, T.In);
-      linkEq(AfterCond, E.In);
+      const CtxEntry &T = genCtx(I->thenExpr(), Env, &AfterCond);
+      const CtxEntry &E = genCtx(I->elseExpr(), Env, &AfterCond);
       StateVec Joined = freshVec(My);
       linkEq(project(T.Out, My), Joined);
       linkEq(project(E.Out, My), Joined);
@@ -329,7 +418,8 @@ private:
     if (Options.FreeApp) {
       size_t ClosIdx = IV.indexOf(My, ClosColor);
       assert(ClosIdx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::FreeApp, ClosRegion);
+      BoolVarId B = choiceBool(FreeAppBools[N->id()], N->id(),
+                               COpKind::FreeApp, ClosRegion);
       StateVarId Next = sys().newState();
       sys().addDeallocTriple(FA.Vars[ClosIdx], B, Next);
       FA.Vars[ClosIdx] = Next;
@@ -355,7 +445,7 @@ private:
       const CalleeInfo &Callee = calleeInfoOf(Id);
       const std::set<regions::RegionVarId> &CalleeLatent = Callee.Latent;
       const FlatSet<Color> &CalleeB = Callee.B;
-      const CtxEntry &Body = genCtx(CA.bodyOf(Cl), Cl.Env);
+      const CtxEntry &Body = genCtx(CA.bodyOf(Cl), Cl.Env, nullptr);
 
       // The B-equalities of Fig. 4 are justified only when the closure's
       // environment is color-consistent with the caller's: every *free*
@@ -504,8 +594,14 @@ private:
   std::vector<CtxEntry> CtxCache;
   std::vector<CalleeInfo> CalleeCache;
   std::unordered_map<RNodeId, std::set<RegionVarId>> CallerLatentCache;
-  /// Per choice-point kind and node: (region, boolean variable) pairs.
-  std::vector<std::vector<std::pair<RegionVarId, BoolVarId>>> BoolIndex[5];
+  /// Per node: the alloc_before booleans by overall-effect index, then
+  /// the free_after ones (NoBool until first used).
+  std::vector<std::vector<BoolVarId>> ChainBools;
+  /// Per application node: its free_app boolean (NoBool until first used).
+  std::vector<BoolVarId> FreeAppBools;
+  /// The plans of the contexts being generated, innermost last (see
+  /// planContext).
+  std::vector<uint32_t> PlanStack;
 };
 
 } // namespace

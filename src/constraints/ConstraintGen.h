@@ -9,7 +9,10 @@
 ///   * a pre-chain of potential `alloc_before` points (one allocation
 ///     triple per region in the node's overall effect);
 ///   * the node's own semantics: allocation constraints where it reads or
-///     writes regions, and equality links to its children's vectors;
+///     writes regions, and its state threaded through its children: a
+///     child context's in vector shares the parent's variables, so
+///     equality constraints appear only where distinct vectors meet (if
+///     joins, applications, a second visit to a shared context);
 ///   * at applications, a `free_app` choice point on the closure's region
 ///     between argument evaluation and the callee body, plus caller/callee
 ///     equality constraints over the call's effect colors (set B) — other

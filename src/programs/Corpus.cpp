@@ -110,7 +110,8 @@ std::string programs::permSource(int Slots, int Depth) {
   // regions between payload positions.
   for (int I = 0; I < M; ++I) {
     Out += "let w" + std::to_string(I) + " = " + std::to_string(I) + " in ";
-    Init.push_back("w" + std::to_string(I));
+    Init.push_back("w");
+    Init.back() += std::to_string(I);
   }
   Out += "letrec k q = if fst q <= 0 then 0 else k (fst q - 1, " + Tup(Rot) +
          ") + k (fst q - 1, " + Tup(Swp) + ") in k (" +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 using namespace afl;
 using namespace afl::regions;
@@ -247,30 +248,41 @@ private:
     std::vector<const RExpr *> Children;
     inDomainChildren(N, Children);
     std::set<RegionVarId> Own = ownMentions(N);
+    // Per node, not per region: the children's mention sets, and each
+    // child's canonical type regions, computed the first time a region
+    // could be pushed into that child.
+    std::vector<const std::set<RegionVarId> *> ChildMentions;
+    for (const RExpr *C : Children)
+      ChildMentions.push_back(&mentioned(C));
+    std::vector<std::optional<std::set<RegionVarId>>> ChildTypeRegions(
+        Children.size());
+    auto TypeRegions = [&](size_t I) -> const std::set<RegionVarId> & {
+      if (!ChildTypeRegions[I]) {
+        std::set<RegionVarId> Raw, Canon;
+        Prog.Types.freeRegionVars(Children[I]->type(), Raw);
+        for (RegionVarId T : Raw)
+          Canon.insert(canon(T));
+        ChildTypeRegions[I] = std::move(Canon);
+      }
+      return *ChildTypeRegions[I];
+    };
     std::map<const RExpr *, std::set<RegionVarId>> Pushed;
     std::vector<RegionVarId> BindHere;
+    constexpr size_t NoChild = static_cast<size_t>(-1);
     for (RegionVarId R : ToPlace) {
-      const RExpr *Target = nullptr;
+      size_t Target = NoChild;
       bool Multi = false;
-      for (const RExpr *C : Children) {
-        if (mentioned(C).count(R)) {
-          if (Target)
+      for (size_t I = 0; I != Children.size(); ++I) {
+        if (ChildMentions[I]->count(R)) {
+          if (Target != NoChild)
             Multi = true;
-          Target = C;
+          Target = I;
         }
       }
-      bool CanPush = Target && !Multi && !Own.count(R);
-      if (CanPush) {
-        std::set<RegionVarId> ChildType;
-        Prog.Types.freeRegionVars(Target->type(), ChildType);
-        std::set<RegionVarId> ChildTypeCanon;
-        for (RegionVarId T : ChildType)
-          ChildTypeCanon.insert(canon(T));
-        if (ChildTypeCanon.count(R))
-          CanPush = false;
-      }
+      bool CanPush = Target != NoChild && !Multi && !Own.count(R) &&
+                     !TypeRegions(Target).count(R);
       if (CanPush)
-        Pushed[Target].insert(R);
+        Pushed[Children[Target]].insert(R);
       else
         BindHere.push_back(R);
     }

@@ -40,7 +40,11 @@ private:
     Out += '\n';
   }
 
-  static std::string reg(RegionVarId R) { return "r" + std::to_string(R); }
+  static std::string reg(RegionVarId R) {
+    std::string S = "r";
+    S += std::to_string(R);
+    return S;
+  }
 
   static std::string regionList(const std::vector<RegionVarId> &Rs) {
     std::string S;
@@ -57,7 +61,11 @@ private:
   }
 
   std::string at(const RExpr *N) const {
-    return N->hasWriteRegion() ? ("@" + reg(N->writeRegion())) : "";
+    if (!N->hasWriteRegion())
+      return "";
+    std::string S = "@";
+    S += reg(N->writeRegion());
+    return S;
   }
 
   void printCore(const RExpr *N, unsigned Indent) {
@@ -80,7 +88,7 @@ private:
       const auto *L = cast<RLambdaExpr>(N);
       line(Indent, "(fn " + var(L->param()) + " =>");
       print(L->body(), Indent + 1);
-      line(Indent, ")" + at(N));
+      line(Indent, std::string(")") += at(N));
       return;
     }
     case RExpr::Kind::App: {
@@ -184,7 +192,8 @@ std::string regions::printRegionProgram(const RegionProgram &Prog,
   for (size_t I = 0; I != Prog.GlobalRegions.size(); ++I) {
     if (I)
       Header += ", ";
-    Header += "r" + std::to_string(Prog.GlobalRegions[I]);
+    Header += "r";
+    Header += std::to_string(Prog.GlobalRegions[I]);
   }
   P.Out = Header + "\n";
   P.print(Prog.Root, 0);

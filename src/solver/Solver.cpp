@@ -416,10 +416,13 @@ SolveResult finishSharded(const ConstraintSystem &Sys,
 
 /// Systems with fewer constraints solve their shard groups on the
 /// calling thread, where handing them to the pool would cost more than
-/// the solve; larger ones fan the groups out over every hardware thread
-/// (on a 4-core host the ~320k-constraint straight-line programs solve
-/// about 2.5x faster that way).
-constexpr size_t FanOutMinConstraints = 2048;
+/// the solve; larger ones fan the groups out over every CPU the calling
+/// thread may run on (on a 4-core host the ~160k-constraint
+/// straight-line programs solve about 2.5x faster that way). The count
+/// is of generated constraints, which thread state without `Eq` links
+/// wherever they can; 1024 of them is about the work 2048 was when every
+/// context emitted its own.
+constexpr size_t FanOutMinConstraints = 1024;
 
 /// The production path. The input's emission-time union-find already
 /// partitioned variables and constraints into connected components, so

@@ -51,8 +51,8 @@ struct SolveOptions {
   /// the unmodified system — the differential oracle (`aflc
   /// --no-simplify`).
   bool Simplify = true;
-  /// Worker threads for the production shard solve: 0 = every hardware
-  /// thread, used only on systems of at least 2048 constraints (smaller
+  /// Worker threads for the production shard solve: 0 = every CPU the
+  /// calling thread may run on, used only on systems of at least 1024 constraints (smaller
   /// ones solve on the calling thread). A constant, not a setting.
   static constexpr unsigned Jobs = 0;
 };

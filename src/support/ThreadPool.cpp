@@ -2,6 +2,10 @@
 
 #include <atomic>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace afl {
 
 /// One fork/join region, shared (via shared_ptr) between the caller and
@@ -143,6 +147,16 @@ void ThreadPool::ensureWorkers(unsigned Target) {
 }
 
 unsigned ThreadPool::hardwareThreads() {
+#ifdef __linux__
+  // The CPUs this thread may run on: under taskset, a cpuset or a pinned
+  // thread that is fewer than the machine has.
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0) {
+    int N = CPU_COUNT(&Set);
+    if (N > 0)
+      return static_cast<unsigned>(N);
+  }
+#endif
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;
 }

@@ -81,7 +81,7 @@ public:
   /// and the submitting thread never runs it inline — a task that blocks
   /// (a connection handler polling its socket) occupies one worker and
   /// nothing else. Callers owning long-lived tasks must ensureWorkers()
-  /// first: the global pool has hardware_concurrency() - 1 workers, which
+  /// first: the global pool has hardwareThreads() - 1 workers, which
   /// is zero on a single-core host, and submit() never runs tasks itself.
   void submit(std::function<void()> Task);
 
@@ -91,11 +91,13 @@ public:
   void ensureWorkers(unsigned Target);
 
   /// The process-wide shared pool, lazily created with
-  /// hardware_concurrency() - 1 workers (the calling thread is the
+  /// hardwareThreads() - 1 workers (the calling thread is the
   /// remaining executor). Never destroyed before program exit.
   static ThreadPool &global();
 
-  /// hardware_concurrency() with the zero-means-unknown case mapped to 1.
+  /// The number of CPUs the calling thread may run on: its affinity mask
+  /// on Linux, else hardware_concurrency() with the zero-means-unknown
+  /// case mapped to 1.
   static unsigned hardwareThreads();
 
 private:

@@ -375,9 +375,14 @@ std::string VM::render(Addr A, unsigned Depth) {
     return "<fn>";
   case Cell::Kind::RegClos:
     return "<regfn>";
-  case Cell::Kind::Pair:
-    return "(" + render(V.P.A, Depth + 1) + ", " + render(V.P.B, Depth + 1) +
-           ")";
+  case Cell::Kind::Pair: {
+    std::string Out = "(";
+    Out += render(V.P.A, Depth + 1);
+    Out += ", ";
+    Out += render(V.P.B, Depth + 1);
+    Out += ")";
+    return Out;
+  }
   case Cell::Kind::Nil:
   case Cell::Kind::Cons: {
     std::string Out = "[";

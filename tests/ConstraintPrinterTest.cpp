@@ -1,4 +1,5 @@
-// Tests for constraint-system statistics and dumping.
+// Tests for the shape of generated constraint systems, their statistics
+// and dumping.
 
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
@@ -44,6 +45,53 @@ TEST(ConstraintPrinter, StatsAddUp) {
   EXPECT_EQ(S.FreeAppChoices, 1u);   // one application in Example 1.1
 }
 
+/// `let x1 = (1, 1) in ... let xn = (n, n) in fst x1 + snd xn end ...`.
+std::string letChain(int N) {
+  std::string Out;
+  for (int I = 1; I <= N; ++I)
+    Out += "let x" + std::to_string(I) + " = (" + std::to_string(I) + ", " +
+           std::to_string(I) + ") in ";
+  Out += "fst x1 + snd x" + std::to_string(N);
+  for (int I = 0; I < N; ++I)
+    Out += " end";
+  return Out;
+}
+
+/// `1 + 2 + ... + n`.
+std::string sum(int N) {
+  std::string Out = "1";
+  for (int I = 2; I <= N; ++I)
+    Out += " + " + std::to_string(I);
+  return Out;
+}
+
+TEST(ConstraintGen, StraightLineCodeEmitsNoEq) {
+  // A child context's in vector is its parent's chain vector and each
+  // post-chain ends in the out vector itself, so code without joins,
+  // calls or shared contexts threads its state with triples alone.
+  for (const auto &[Label, Source] :
+       {std::pair<const char *, std::string>{"let-chain 20", letChain(20)},
+        {"sum 30", sum(30)}}) {
+    std::unique_ptr<regions::RegionProgram> Prog;
+    GenResult Gen = genFor(Source, Prog);
+    SystemStats S = systemStats(Gen);
+    EXPECT_EQ(S.Equalities, 0u) << Label;
+    EXPECT_GT(S.AllocTriples, 0u) << Label;
+    EXPECT_GT(S.DeallocTriples, 0u) << Label;
+  }
+}
+
+TEST(ConstraintGen, JoinsAndCallsStillEmitEq) {
+  // An if joins two branch vectors into one, and an application equates
+  // caller and callee states: both are links between distinct variables.
+  for (const char *Source :
+       {"if 1 < 2 then 3 else 4", "(fn x => x + 1) 2"}) {
+    std::unique_ptr<regions::RegionProgram> Prog;
+    GenResult Gen = genFor(Source, Prog);
+    EXPECT_GT(systemStats(Gen).Equalities, 0u) << Source;
+  }
+}
+
 TEST(ConstraintPrinter, SummaryAndDump) {
   std::unique_ptr<regions::RegionProgram> Prog;
   GenResult Gen = genFor("1 + 2", Prog);
@@ -55,9 +103,11 @@ TEST(ConstraintPrinter, SummaryAndDump) {
   EXPECT_NE(Dump.find(")d"), std::string::npos);
   EXPECT_NE(Dump.find("alloc_before r"), std::string::npos);
   // Every choice boolean appears in the dump.
-  for (const ChoicePoint &CP : Gen.Choices)
-    EXPECT_NE(Dump.find("c" + std::to_string(CP.B) + " := "),
-              std::string::npos);
+  for (const ChoicePoint &CP : Gen.Choices) {
+    std::string Assign = "c";
+    Assign += std::to_string(CP.B) + " := ";
+    EXPECT_NE(Dump.find(Assign), std::string::npos);
+  }
 }
 
 TEST(ConstraintPrinter, ChoicesCoverEveryOverallEffectRegion) {

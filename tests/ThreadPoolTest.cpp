@@ -1,6 +1,7 @@
 // Tests for the shared worker pool: every item runs exactly once, the
 // caller always participates, zero-worker pools degrade to inline
-// execution, nesting cannot deadlock, and the run stats add up.
+// execution, nesting cannot deadlock, the run stats add up, and the
+// hardware thread count follows the CPU affinity mask.
 
 #include "support/ThreadPool.h"
 
@@ -12,6 +13,10 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace afl;
 
@@ -109,6 +114,25 @@ TEST(ThreadPool, GlobalPoolIsASingleton) {
   EXPECT_GE(ThreadPool::global().numThreads(),
             ThreadPool::hardwareThreads() - 1);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, HardwareThreadsFollowsTheAffinityMask) {
+  cpu_set_t Saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(ThreadPool::hardwareThreads(),
+            static_cast<unsigned>(CPU_COUNT(&Saved)));
+  int First = 0;
+  while (!CPU_ISSET(First, &Saved))
+    ++First;
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  unsigned Pinned = ThreadPool::hardwareThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(Pinned, 1u);
+}
+#endif
 
 TEST(ThreadPool, StatsCountersAreConsistentUnderRepetition) {
   ThreadPool Pool(2);
