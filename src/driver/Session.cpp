@@ -2,11 +2,13 @@
 
 #include "completion/AflCompletion.h"
 #include "completion/Conservative.h"
-#include "driver/Incremental.h"
+#include "constraints/ConstraintGen.h"
 #include "interp/Interp.h"
 #include "support/ArenaPool.h"
 #include "support/Metrics.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <exception>
 
@@ -66,63 +68,194 @@ std::string domainString(const support::PackedArray<Bits> &Dom) {
   return O;
 }
 
+/// The child edges of \p N in a fixed order (null-padded).
+std::array<const regions::RExpr *, 3> childrenOf(const regions::RExpr *N) {
+  using regions::cast;
+  using K = regions::RExpr::Kind;
+  switch (N->kind()) {
+  case K::Lambda:
+    return {cast<regions::RLambdaExpr>(N)->body()};
+  case K::App: {
+    const auto *A = cast<regions::RAppExpr>(N);
+    return {A->fn(), A->arg()};
+  }
+  case K::Let: {
+    const auto *L = cast<regions::RLetExpr>(N);
+    return {L->init(), L->body()};
+  }
+  case K::Letrec: {
+    const auto *L = cast<regions::RLetrecExpr>(N);
+    return {L->fnBody(), L->body()};
+  }
+  case K::If: {
+    const auto *I = cast<regions::RIfExpr>(N);
+    return {I->cond(), I->thenExpr(), I->elseExpr()};
+  }
+  case K::Pair: {
+    const auto *P = cast<regions::RPairExpr>(N);
+    return {P->first(), P->second()};
+  }
+  case K::Cons: {
+    const auto *C = cast<regions::RConsExpr>(N);
+    return {C->head(), C->tail()};
+  }
+  case K::UnOp:
+    return {cast<regions::RUnOpExpr>(N)->operand()};
+  case K::BinOp: {
+    const auto *B = cast<regions::RBinOpExpr>(N);
+    return {B->lhs(), B->rhs()};
+  }
+  default: // Int, Bool, Unit, Var, RegApp, Nil: leaves.
+    return {};
+  }
+}
+
+/// True iff \p New equals \p Old node for node except for Int/Bool
+/// literal payloads: the same kinds and operators, node ids, types,
+/// region annotations, effects and binders. Closure analysis, constraint
+/// generation, the solver and the completion report never read a literal
+/// payload, so such an edit keeps the open document's analysis (the
+/// "reuse" tier). The walk also rejects a binder seen twice, a use
+/// reached before its binder, and a letregion-bound region outside
+/// either program's region-variable table.
+bool sameModuloLiterals(const regions::RegionProgram &Old,
+                        const regions::RegionProgram &New) {
+  using regions::cast;
+  using K = regions::RExpr::Kind;
+  if (!Old.Root || !New.Root || Old.numNodes() != New.numNodes() ||
+      Old.numVars() != New.numVars() || Old.GlobalRegions != New.GlobalRegions)
+    return false;
+  uint32_t NumRegions =
+      std::min(Old.Types.numRegionVars(), New.Types.numRegionVars());
+  auto InRange = [&](const std::vector<regions::RegionVarId> &Rs) {
+    return std::all_of(Rs.begin(), Rs.end(),
+                       [&](regions::RegionVarId R) { return R < NumRegions; });
+  };
+  std::vector<uint8_t> Bound(Old.numVars(), 0);
+  auto Bind = [&](regions::VarId V) {
+    if (V >= Bound.size() || Bound[V])
+      return false;
+    Bound[V] = 1;
+    return true;
+  };
+  auto Use = [&](regions::VarId V) { return V < Bound.size() && Bound[V]; };
+
+  std::vector<std::pair<const regions::RExpr *, const regions::RExpr *>>
+      Stack{{Old.Root, New.Root}};
+  while (!Stack.empty()) {
+    auto [O, N] = Stack.back();
+    Stack.pop_back();
+    if (O->kind() != N->kind() || O->id() != N->id() ||
+        O->type() != N->type() || O->writeRegion() != N->writeRegion() ||
+        O->readRegions() != N->readRegions() ||
+        O->boundRegions() != N->boundRegions() ||
+        O->effect() != N->effect() ||
+        O->overallEffect() != N->overallEffect() ||
+        !InRange(O->boundRegions()))
+      return false;
+    switch (O->kind()) {
+    case K::UnOp:
+      if (cast<regions::RUnOpExpr>(O)->op() !=
+          cast<regions::RUnOpExpr>(N)->op())
+        return false;
+      break;
+    case K::BinOp:
+      if (cast<regions::RBinOpExpr>(O)->op() !=
+          cast<regions::RBinOpExpr>(N)->op())
+        return false;
+      break;
+    case K::Var: {
+      regions::VarId V = cast<regions::RVarExpr>(O)->var();
+      if (V != cast<regions::RVarExpr>(N)->var() || !Use(V))
+        return false;
+      break;
+    }
+    case K::Lambda: {
+      const auto *OL = cast<regions::RLambdaExpr>(O);
+      const auto *NL = cast<regions::RLambdaExpr>(N);
+      if (OL->param() != NL->param() ||
+          OL->freeRegions() != NL->freeRegions() || !Bind(OL->param()))
+        return false;
+      break;
+    }
+    case K::Let: {
+      regions::VarId V = cast<regions::RLetExpr>(O)->var();
+      if (V != cast<regions::RLetExpr>(N)->var() || !Bind(V))
+        return false;
+      break;
+    }
+    case K::Letrec: {
+      const auto *OL = cast<regions::RLetrecExpr>(O);
+      const auto *NL = cast<regions::RLetrecExpr>(N);
+      if (OL->fn() != NL->fn() || OL->param() != NL->param() ||
+          OL->formals() != NL->formals() ||
+          OL->freeRegions() != NL->freeRegions() ||
+          !InRange(OL->formals()) || !Bind(OL->fn()) || !Bind(OL->param()))
+        return false;
+      break;
+    }
+    case K::RegApp: {
+      const auto *OR = cast<regions::RRegAppExpr>(O);
+      const auto *NR = cast<regions::RRegAppExpr>(N);
+      if (OR->fn() != NR->fn() || OR->actuals() != NR->actuals() ||
+          !Use(OR->fn()))
+        return false;
+      break;
+    }
+    default:
+      break;
+    }
+    std::array<const regions::RExpr *, 3> OC = childrenOf(O);
+    std::array<const regions::RExpr *, 3> NC = childrenOf(N);
+    for (size_t I = 0; I != OC.size() && OC[I]; ++I)
+      Stack.push_back({OC[I], NC[I]});
+  }
+  return true;
+}
+
 } // namespace
 
-Session::AnalysisInfo Session::analyze(Document &Doc,
-                                       const closure::ClosureAnalysis *PrevCA,
-                                       const closure::IncrementalSeed *Seed,
-                                       StageTimings &T) {
+Session::AnalysisInfo Session::analyze(Document &Doc, StageTimings &T) {
   AnalysisInfo Info;
   T.AnalysisRan = true;
+  ++Stats.FullAnalyses;
   Stopwatch Watch;
 
-  auto CA = std::make_unique<closure::ClosureAnalysis>(*Doc.Prog);
-  bool Converged = false;
-  if (PrevCA && Seed && CA->runIncremental(*PrevCA, *Seed)) {
-    Info.Tier = "incremental";
-    Converged = true;
-    ++Stats.IncrementalAnalyses;
-  } else {
-    if (PrevCA && Seed) // rejected seed: restart on a fresh instance
-      CA = std::make_unique<closure::ClosureAnalysis>(*Doc.Prog);
-    Converged = CA->run();
-    ++Stats.FullAnalyses;
-  }
+  closure::ClosureAnalysis CA(*Doc.Prog);
+  bool Converged = CA.run();
   T.Closure = Watch.seconds();
-  Doc.CA = std::move(CA);
-
-  Info.Converged = Converged;
-  Info.ProcessedContexts = Doc.CA->stats().ProcessedContexts;
-  Info.DirtiedContexts = Doc.CA->stats().Incremental
-                             ? Doc.CA->stats().DirtiedContexts
-                             : Doc.CA->stats().ProcessedContexts;
-  Stats.DirtiedContexts += Info.DirtiedContexts;
+  Info.ProcessedContexts = CA.stats().ProcessedContexts;
+  Stats.DirtiedContexts += Info.ProcessedContexts;
+  Doc.Sizes = AnalysisSizes();
+  Doc.Sizes.Converged = Converged;
+  Doc.Sizes.Contexts = CA.numContexts();
+  Doc.Sizes.Closures = CA.numClosures();
 
   uint64_t Hits0 = Doc.Cache.Hits;
   uint64_t Misses0 = Doc.Cache.Misses;
   if (!Converged) {
     // Mirror aflCompletion: unconverged tables are unsound, fall back to
     // the conservative completion (should not happen in practice).
-    Doc.Gen.reset();
     Doc.Sol = solver::SolveResult();
     Doc.AflC = completion::conservativeCompletion(*Doc.Prog);
   } else {
     Watch.reset();
-    Doc.Gen = std::make_unique<constraints::GenResult>(
-        constraints::generateConstraints(*Doc.Prog, *Doc.CA));
+    constraints::GenResult Gen =
+        constraints::generateConstraints(*Doc.Prog, CA);
     T.ConstraintGen = Watch.seconds();
-    Doc.Sol = solver::solveCached(Doc.Gen->Sys, solver::SolveOptions(),
-                                  Doc.Cache);
+    Doc.Sizes.StateVars = Gen.Sys.numStateVars();
+    Doc.Sizes.BoolVars = Gen.Sys.numBoolVars();
+    Doc.Sizes.Constraints = Gen.Sys.numConstraints();
+    Doc.Sizes.Shards = Gen.Sys.numShards();
+    Doc.Sol = solver::solveCached(Gen.Sys, solver::SolveOptions(), Doc.Cache);
     T.Solve = Doc.Sol.Seconds;
     Watch.reset();
-    Doc.AflC = Doc.Sol.Sat
-                   ? completion::extractCompletion(*Doc.Gen, Doc.Sol)
-                   : completion::conservativeCompletion(*Doc.Prog);
+    Doc.AflC = Doc.Sol.Sat ? completion::extractCompletion(Gen, Doc.Sol)
+                           : completion::conservativeCompletion(*Doc.Prog);
     T.Extract = Watch.seconds();
   }
   Doc.Report = completion::reportCompletion(*Doc.Prog, Doc.AflC);
 
-  Info.Sat = Doc.Sol.Sat;
   Info.ShardsSolved = Doc.Cache.Misses - Misses0;
   Info.ShardsReused = Doc.Cache.Hits - Hits0;
   Stats.ShardsSolved += Info.ShardsSolved;
@@ -167,7 +300,7 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
   Doc.Ctx = std::move(F.Ctx);
   Doc.Ast = F.Ast;
   Doc.Prog = std::move(F.Prog);
-  AnalysisInfo Info = analyze(Doc, nullptr, nullptr, T);
+  AnalysisInfo Info = analyze(Doc, T);
 
   int64_t Id = NextDocId++;
   Document &Stored = Docs[Id];
@@ -183,20 +316,18 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
 
 std::string Session::analysisBody(const Document &Doc,
                                   const AnalysisInfo &Info) const {
+  const AnalysisSizes &Z = Doc.Sizes;
   std::string O = "{";
-  O += "\"converged\":" + std::string(Info.Converged ? "true" : "false");
-  O += ",\"sat\":" + std::string(Info.Sat ? "true" : "false");
-  O += ",\"contexts\":" + std::to_string(Doc.CA ? Doc.CA->numContexts() : 0);
-  O += ",\"closures\":" + std::to_string(Doc.CA ? Doc.CA->numClosures() : 0);
-  O += ",\"state_vars\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numStateVars() : 0);
-  O += ",\"bool_vars\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numBoolVars() : 0);
-  O += ",\"constraints\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numConstraints() : 0);
-  O += ",\"shards\":" + std::to_string(Doc.Gen ? Doc.Gen->Sys.numShards() : 0);
+  O += "\"converged\":" + std::string(Z.Converged ? "true" : "false");
+  O += ",\"sat\":" + std::string(Doc.Sol.Sat ? "true" : "false");
+  O += ",\"contexts\":" + std::to_string(Z.Contexts);
+  O += ",\"closures\":" + std::to_string(Z.Closures);
+  O += ",\"state_vars\":" + std::to_string(Z.StateVars);
+  O += ",\"bool_vars\":" + std::to_string(Z.BoolVars);
+  O += ",\"constraints\":" + std::to_string(Z.Constraints);
+  O += ",\"shards\":" + std::to_string(Z.Shards);
   O += ",\"processed_contexts\":" + std::to_string(Info.ProcessedContexts);
-  O += ",\"dirtied_contexts\":" + std::to_string(Info.DirtiedContexts);
+  O += ",\"dirtied_contexts\":" + std::to_string(Info.ProcessedContexts);
   O += ",\"shards_solved\":" + std::to_string(Info.ShardsSolved);
   O += ",\"shards_reused\":" + std::to_string(Info.ShardsReused);
   O += "}";
@@ -218,11 +349,12 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
   }
   int64_t S = Start->asInt();
   int64_t L = Length->asInt();
-  if (S < 0 || L < 0 || static_cast<uint64_t>(S) > Doc->Text.size() ||
-      static_cast<uint64_t>(S + L) > Doc->Text.size()) {
-    Error = "edit span [" + std::to_string(S) + ", " + std::to_string(S + L) +
-            ") out of range for document of " +
-            std::to_string(Doc->Text.size()) + " bytes";
+  uint64_t Size = Doc->Text.size();
+  if (S < 0 || L < 0 || static_cast<uint64_t>(S) > Size ||
+      static_cast<uint64_t>(L) > Size - static_cast<uint64_t>(S)) {
+    Error = "edit span of length " + std::to_string(L) + " at " +
+            std::to_string(S) + " out of range for document of " +
+            std::to_string(Size) + " bytes";
     return "";
   }
   ++Stats.Edits;
@@ -241,32 +373,21 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
     return "";
   }
 
-  ProgramDiff Diff = diffPrograms(*Doc->Prog, *F.Prog);
+  bool Reuse = sameModuloLiterals(*Doc->Prog, *F.Prog);
+  Doc->Text = std::move(NewText);
+  Doc->Ctx = std::move(F.Ctx);
+  Doc->Ast = F.Ast;
+  Doc->Prog = std::move(F.Prog);
   AnalysisInfo Info;
-  if (Diff.Kind == DiffKind::Identical || Diff.Kind == DiffKind::LiteralsOnly) {
-    // The previous region program is isomorphic modulo literal payloads,
-    // which nothing downstream of the front end reads: keep every cached
-    // artifact (including the old program as the analysis baseline) and
-    // only move the text forward.
-    Doc->Text = std::move(NewText);
+  if (Reuse) {
+    // Node ids, types and regions are unchanged, so the completion, its
+    // report and the solver domains still describe the new program.
     Info.Tier = "reuse";
-    Info.Converged = Doc->CA && Doc->CA->converged();
-    Info.Sat = Doc->Sol.Sat;
-    Info.ShardsReused = Doc->Gen ? Doc->Gen->Sys.numShards() : 0;
+    Info.ShardsReused = Doc->Sizes.Shards;
     ++Stats.ReusedAnalyses;
     Stats.ShardsReused += Info.ShardsReused;
   } else {
-    // Keep the previous program + closure tables alive while the seeded
-    // restart translates out of them, then drop them.
-    std::unique_ptr<regions::RegionProgram> OldProg = std::move(Doc->Prog);
-    std::unique_ptr<closure::ClosureAnalysis> OldCA = std::move(Doc->CA);
-    Doc->Text = std::move(NewText);
-    Doc->Ctx = std::move(F.Ctx);
-    Doc->Ast = F.Ast;
-    Doc->Prog = std::move(F.Prog);
-    bool TrySeed = Diff.Kind == DiffKind::Subtree && OldCA != nullptr;
-    Info = analyze(*Doc, TrySeed ? OldCA.get() : nullptr,
-                   TrySeed ? &Diff.Seed : nullptr, T);
+    Info = analyze(*Doc, T);
   }
 
   const json::Value *DocId = Params.find("doc");
@@ -298,8 +419,6 @@ std::string Session::handleQuery(const json::Value &Params,
     O += ",\"closes\":" + std::to_string(Stats.Closes);
     O += ",\"open_docs\":" + std::to_string(Docs.size());
     O += ",\"full_analyses\":" + std::to_string(Stats.FullAnalyses);
-    O += ",\"incremental_analyses\":" +
-         std::to_string(Stats.IncrementalAnalyses);
     O += ",\"reused_analyses\":" + std::to_string(Stats.ReusedAnalyses);
     O += ",\"dirtied_contexts\":" + std::to_string(Stats.DirtiedContexts);
     O += ",\"shards_solved\":" + std::to_string(Stats.ShardsSolved);

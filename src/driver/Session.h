@@ -2,28 +2,26 @@
 ///
 /// \file
 /// One analysis-server session: the transport-agnostic core behind
-/// `aflc --serve`. A Session owns a document store (text + every analysis
-/// artifact, kept hot across edits) and answers one newline-delimited JSON
-/// request at a time via handleLine(). It knows nothing about where the
-/// request bytes came from — driver::Server pumps it from stdin/stdout or
-/// from a TCP connection (docs/SERVER.md documents every method, the
-/// invalidation model, and the failure semantics).
+/// `aflc --serve`. A Session owns a document store (text, region program
+/// and analysis results, kept hot across edits) and answers one
+/// newline-delimited JSON request at a time via handleLine(). It knows
+/// nothing about where the request bytes came from — driver::Server pumps
+/// it from stdin/stdout or from a TCP connection (docs/SERVER.md documents
+/// every method, the invalidation model, and the failure semantics).
 ///
 /// Per edit the session re-runs the front end (parse → types → regions;
-/// always from scratch — it is the cheap half), then structurally diffs
-/// the new region program against the open one (driver/Incremental.h):
+/// always from scratch — it is the cheap half), then compares the new
+/// region program with the open one:
 ///
-///   * identical-modulo-literals edits reuse the previous analysis
-///     outright ("reuse" tier — zero contexts dirtied);
-///   * single arrow-free subtree replacements seed the closure analysis
-///     from the previous revision's tables and restart the worklist from
-///     the edited subtree's parent ("incremental" tier);
-///   * everything else re-analyzes from scratch ("full" tier).
+///   * an edit that changes only Int/Bool literal payloads keeps the
+///     previous analysis outright ("reuse" tier — zero contexts dirtied);
+///   * everything else re-runs closure analysis, constraint generation
+///     and the solve ("full" tier).
 ///
-/// All tiers share a per-document shard solution cache
+/// Both tiers share a per-document shard solution cache
 /// (solver::ShardSolutionCache), so constraint shards untouched by an
 /// edit replay their solved domains without re-entering the solver.
-/// Every tier produces byte-identical reports and solver domains to a
+/// Both tiers produce byte-identical reports and solver domains to a
 /// from-scratch run — tests/ServerTest.cpp proves it differentially, and
 /// the socket transport's multi-client harness proves each connection's
 /// responses are byte-identical to a fresh single-session replay.
@@ -42,9 +40,7 @@
 #ifndef AFL_DRIVER_SESSION_H
 #define AFL_DRIVER_SESSION_H
 
-#include "closure/ClosureAnalysis.h"
 #include "completion/Report.h"
-#include "constraints/ConstraintGen.h"
 #include "driver/Pipeline.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -180,17 +176,28 @@ public:
   bool shutdownRequested() const { return Shutdown; }
 
 private:
-  /// An open document: its text plus every analysis artifact, kept hot
-  /// across edits. The region program owns the IR the closure analysis
-  /// and constraint system point into, so artifacts are replaced as a
-  /// unit (or, on the reuse tier, kept as a unit while only Text moves).
+  /// The sizes of one analysis that open/edit responses print.
+  struct AnalysisSizes {
+    bool Converged = false;
+    size_t Contexts = 0;
+    size_t Closures = 0;
+    size_t StateVars = 0;
+    size_t BoolVars = 0;
+    size_t Constraints = 0;
+    size_t Shards = 0;
+  };
+
+  /// An open document: its text, its front-end result, and what the
+  /// analysis left behind that a later request reads — the solver
+  /// domains, the completion, its report and the shard cache. The
+  /// closure tables and the constraint system are dropped once the
+  /// completion is extracted; only their sizes are kept.
   struct Document {
     std::string Text;
     std::unique_ptr<ast::ASTContext> Ctx;
     const ast::Expr *Ast = nullptr;
     std::unique_ptr<regions::RegionProgram> Prog;
-    std::unique_ptr<closure::ClosureAnalysis> CA;
-    std::unique_ptr<constraints::GenResult> Gen;
+    AnalysisSizes Sizes;
     solver::SolveResult Sol;
     regions::Completion AflC;
     completion::CompletionReport Report;
@@ -207,26 +214,22 @@ private:
     bool AnalysisRan = false;
   };
 
-  /// Outcome summary of one analysis (or reuse) for the response body.
+  /// The work one open/edit did, for the response body. A reuse-tier
+  /// edit processes no contexts; `dirtied_contexts` on the wire equals
+  /// ProcessedContexts.
   struct AnalysisInfo {
     const char *Tier = "full";
-    bool Converged = false;
-    bool Sat = false;
     size_t ProcessedContexts = 0;
-    size_t DirtiedContexts = 0;
     uint64_t ShardsSolved = 0;
     uint64_t ShardsReused = 0;
   };
 
   /// Runs closure analysis → constraint generation → cached solve →
-  /// extraction over Doc.Prog, replacing Doc's analysis artifacts. When
-  /// \p PrevCA and \p Seed are given, tries the seeded incremental
-  /// worklist first and falls back to a full run if the seed is rejected.
-  /// Mirrors completion::aflCompletion's fallbacks (conservative
-  /// completion on non-convergence or unsat) so results are byte-identical
-  /// to the one-shot pipeline.
-  AnalysisInfo analyze(Document &Doc, const closure::ClosureAnalysis *PrevCA,
-                       const closure::IncrementalSeed *Seed, StageTimings &T);
+  /// extraction over Doc.Prog, replacing Doc's analysis results. Mirrors
+  /// completion::aflCompletion's fallbacks (conservative completion on
+  /// non-convergence or unsat) so results are byte-identical to the
+  /// one-shot pipeline.
+  AnalysisInfo analyze(Document &Doc, StageTimings &T);
 
   /// Renders the shared "analysis" result object for open/edit responses.
   std::string analysisBody(const Document &Doc, const AnalysisInfo &Info) const;
@@ -255,7 +258,6 @@ private:
     uint64_t Queries = 0;
     uint64_t Closes = 0;
     uint64_t FullAnalyses = 0;
-    uint64_t IncrementalAnalyses = 0;
     uint64_t ReusedAnalyses = 0;
     uint64_t DirtiedContexts = 0;
     uint64_t ShardsSolved = 0;

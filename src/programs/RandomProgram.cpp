@@ -12,12 +12,15 @@ namespace {
 /// The small monomorphic type universe of generated programs.
 enum class GType { Int, Bool, ListInt, PairIntInt, FnIntInt };
 
-/// Builds each program text with `+` chains whose operands draw from the
-/// random stream. Those operands are unsequenced, so the program for a
-/// seed is the one GCC's right-to-left evaluation produces. A chain that
-/// starts with a literal and then a call spells the literal as a
-/// std::string: that keeps the order and avoids GCC 12's false -Wrestrict
-/// on `"literal" + std::string&&` at -O3.
+/// Builds each program text from the random stream. An expression makes
+/// at most one draw (a pick or a nested generator call); where a text
+/// needs several, each goes into a named local first, so the program for
+/// a seed does not depend on the compiler's operand order. The locals run
+/// last operand first: the order GCC evaluated the unsequenced `+`
+/// chains these texts were once built from, which keeps every seed's
+/// program unchanged. A chain that starts with a literal and then a
+/// std::string spells the literal as a std::string: that avoids GCC 12's
+/// false -Wrestrict on `"literal" + std::string&&` at -O3.
 class Generator {
 public:
   Generator(unsigned Seed, const RandomProgramOptions &Options)
@@ -91,9 +94,11 @@ private:
       return coin() ? "true" : "false";
     case GType::ListInt:
       return "nil";
-    case GType::PairIntInt:
-      return std::string("(") + genBase(GType::Int) + ", " +
-             genBase(GType::Int) + ")";
+    case GType::PairIntInt: {
+      std::string Second = genBase(GType::Int);
+      std::string First = genBase(GType::Int);
+      return "(" + First + ", " + Second + ")";
+    }
     case GType::FnIntInt: {
       std::string X = freshName("a");
       return "fn " + X + " => " + X + " + " + std::to_string(pick(10));
@@ -108,26 +113,33 @@ private:
       return genBase(GType::Int);
     case 1: {
       const char *Ops[] = {"+", "-", "*"};
-      return std::string("(") + genExpr(GType::Int, Depth - 1) + " " +
-             Ops[pick(3)] + " " + genExpr(GType::Int, Depth - 1) + ")";
+      std::string Rhs = genExpr(GType::Int, Depth - 1);
+      const char *Op = Ops[pick(3)];
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return "(" + Lhs + " " + Op + " " + Rhs + ")";
     }
-    case 2: // guarded div/mod
-      return std::string("(") + genExpr(GType::Int, Depth - 1) + " " +
-             (coin() ? "div" : "mod") + " " + std::to_string(1 + pick(9)) +
-             ")";
-    case 3:
-      return std::string("(if ") + genExpr(GType::Bool, Depth - 1) + " then " +
-             genExpr(GType::Int, Depth - 1) + " else " +
-             genExpr(GType::Int, Depth - 1) + ")";
+    case 2: { // guarded div/mod
+      unsigned Divisor = 1 + pick(9);
+      const char *Op = coin() ? "div" : "mod";
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return "(" + Lhs + " " + Op + " " + std::to_string(Divisor) + ")";
+    }
+    case 3: {
+      std::string Else = genExpr(GType::Int, Depth - 1);
+      std::string Then = genExpr(GType::Int, Depth - 1);
+      std::string Cond = genExpr(GType::Bool, Depth - 1);
+      return "(if " + Cond + " then " + Then + " else " + Else + ")";
+    }
     case 4:
       return genLet(GType::Int, Depth);
     case 5:
       return std::string("(fst ") + genExpr(GType::PairIntInt, Depth - 1) + ")";
     case 6: { // safe head: if null l then k else hd l
       std::string L = freshName("l");
-      return "(let " + L + " = " + genExpr(GType::ListInt, Depth - 1) +
-             " in if null " + L + " then " + std::to_string(pick(10)) +
-             " else hd " + L + " end)";
+      unsigned Default = pick(10);
+      std::string List = genExpr(GType::ListInt, Depth - 1);
+      return "(let " + L + " = " + List + " in if null " + L + " then " +
+             std::to_string(Default) + " else hd " + L + " end)";
     }
     case 7: {
       if (!Options.HigherOrder)
@@ -135,12 +147,14 @@ private:
       if (Options.ClosureEscape && pick(3) == 0) {
         // Store a closure in a pair, retrieve it, apply it.
         std::string P = freshName("cp");
-        return "(let " + P + " = (" + genExpr(GType::FnIntInt, Depth - 1) +
-               ", " + genExpr(GType::Int, Depth - 1) + ") in (fst " + P +
+        std::string Arg = genExpr(GType::Int, Depth - 1);
+        std::string Fn = genExpr(GType::FnIntInt, Depth - 1);
+        return "(let " + P + " = (" + Fn + ", " + Arg + ") in (fst " + P +
                ") (snd " + P + ") end)";
       }
-      return std::string("(") + genExpr(GType::FnIntInt, Depth - 1) + ") (" +
-             genExpr(GType::Int, Depth - 1) + ")";
+      std::string Arg = genExpr(GType::Int, Depth - 1);
+      std::string Fn = genExpr(GType::FnIntInt, Depth - 1);
+      return "(" + Fn + ") (" + Arg + ")";
     }
     case 8:
       return genRecInt(Depth);
@@ -154,8 +168,10 @@ private:
       return genBase(GType::Bool);
     case 1: {
       const char *Ops[] = {"<", "<=", "="};
-      return std::string("(") + genExpr(GType::Int, Depth - 1) + " " +
-             Ops[pick(3)] + " " + genExpr(GType::Int, Depth - 1) + ")";
+      std::string Rhs = genExpr(GType::Int, Depth - 1);
+      const char *Op = Ops[pick(3)];
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return "(" + Lhs + " " + Op + " " + Rhs + ")";
     }
     case 2:
       return std::string("(null ") + genExpr(GType::ListInt, Depth - 1) + ")";
@@ -168,9 +184,11 @@ private:
     switch (pick(Options.Recursion ? 5 : 4)) {
     case 0:
       return "nil";
-    case 1:
-      return std::string("(") + genExpr(GType::Int, Depth - 1) +
-             " :: " + genExpr(GType::ListInt, Depth - 1) + ")";
+    case 1: {
+      std::string Tail = genExpr(GType::ListInt, Depth - 1);
+      std::string Head = genExpr(GType::Int, Depth - 1);
+      return "(" + Head + " :: " + Tail + ")";
+    }
     case 2:
       return genLet(GType::ListInt, Depth);
     case 3: { // safe tail
@@ -192,8 +210,9 @@ private:
   std::string genPair(unsigned Depth) {
     if (pick(3) == 0)
       return genLet(GType::PairIntInt, Depth);
-    return std::string("(") + genExpr(GType::Int, Depth - 1) + ", " +
-           genExpr(GType::Int, Depth - 1) + ")";
+    std::string Second = genExpr(GType::Int, Depth - 1);
+    std::string First = genExpr(GType::Int, Depth - 1);
+    return "(" + First + ", " + Second + ")";
   }
 
   std::string genFn(unsigned Depth) {
@@ -245,10 +264,11 @@ private:
       Env.push_back({N, GType::Int});
       std::string Step = genExpr(GType::Int, Depth >= 2 ? Depth - 2 : 0);
       Env.pop_back();
+      unsigned Arg = 1 + pick(6);
+      unsigned Base = pick(10);
       return "(letrec " + F + " " + N + " = if " + N + " <= 0 then " +
-             std::to_string(pick(10)) + " else (" + Step + ") + " + F +
-             " (" + N + " - 1) in " + F + " (" +
-             std::to_string(1 + pick(6)) + ") end)";
+             std::to_string(Base) + " else (" + Step + ") + " + F + " (" +
+             N + " - 1) in " + F + " (" + std::to_string(Arg) + ") end)";
     }
     if (Shape == 1) {
       std::string F = freshName("g");
@@ -262,11 +282,13 @@ private:
       // Accumulator over a pair (count, acc).
       std::string F = freshName("h");
       std::string P = freshName("p");
+      std::string Acc = genExpr(GType::Int, Depth - 1);
+      unsigned Count = 1 + pick(6);
+      unsigned Step = 1 + pick(5);
       return "(letrec " + F + " " + P + " = if fst " + P +
              " <= 0 then snd " + P + " else " + F + " (fst " + P +
-             " - 1, snd " + P + " + " + std::to_string(1 + pick(5)) +
-             ") in " + F + " (" + std::to_string(1 + pick(6)) + ", " +
-             genExpr(GType::Int, Depth - 1) + ") end)";
+             " - 1, snd " + P + " + " + std::to_string(Step) + ") in " + F +
+             " (" + std::to_string(Count) + ", " + Acc + ") end)";
     }
     // Aliased pair components: (v, v) puts both components in the same
     // region; the callee's formals for them are bound to one color.

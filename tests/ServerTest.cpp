@@ -1,11 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the incremental analysis server (docs/SERVER.md): protocol
-/// round-trips, malformed-request robustness, and the differential
-/// harness — random edit scripts over the corpus asserting that every
-/// incremental tier produces byte-identical completion reports and
-/// solver domains to a from-scratch analysis of the same text.
+/// Tests for the analysis server (docs/SERVER.md): protocol round-trips,
+/// malformed-request robustness, and the differential harness — random
+/// edit scripts over the corpus asserting that both tiers produce
+/// byte-identical completion reports and solver domains to a
+/// from-scratch analysis of the same text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "driver/Pipeline.h"
 #include "driver/Server.h"
 #include "driver/Session.h"
+#include "interp/RefInterp.h"
 #include "programs/Corpus.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -231,6 +233,34 @@ TEST(ServerProtocol, RunQueryExecutesDocument) {
   EXPECT_NE(Unknown.find("error")->asString().find("run"), std::string::npos);
 }
 
+TEST(ServerProtocol, RunAfterReuseEditExecutesNewText) {
+  driver::Session S;
+  const std::string Text = "let x = 1 + 2 in x * 10 end";
+  const std::string Edited = "let x = 1 + 5 in x * 10 end";
+  int64_t Doc = -1;
+  ASSERT_TRUE(okOf(openDoc(S, Text, &Doc)));
+
+  // 2 -> 5 changes a literal payload only: the reuse tier.
+  json::Value E = call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" +
+                              std::to_string(Doc) +
+                              ",\"start\":12,\"length\":1,\"text\":\"5\"}}");
+  ASSERT_TRUE(okOf(E));
+  EXPECT_EQ(dig(E, {"result", "tier"})->asString(), "reuse");
+
+  DiagnosticEngine Diags;
+  driver::FrontEnd F = driver::runFrontEnd(Edited, Diags);
+  ASSERT_TRUE(F.ok()) << Diags.str();
+  interp::RefResult Ref = interp::runRef(F.Ast, *F.Ctx);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  EXPECT_EQ(Ref.ResultText, "60");
+
+  json::Value Q = call(S, "{\"method\":\"query\",\"params\":{\"doc\":" +
+                              std::to_string(Doc) + ",\"what\":\"run\"}}");
+  ASSERT_TRUE(okOf(Q));
+  EXPECT_TRUE(dig(Q, {"result", "run", "ok"})->asBool());
+  EXPECT_EQ(dig(Q, {"result", "run", "result"})->asString(), Ref.ResultText);
+}
+
 TEST(ServerProtocol, TimingsPresentOnEveryResponse) {
   driver::Session S;
   for (const char *Req :
@@ -308,6 +338,17 @@ TEST(ServerRobustness, EditValidationAndRevert) {
       call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +
                   ",\"start\":0,\"length\":-4,\"text\":\"2\"}}");
   EXPECT_FALSE(okOf(R2));
+  // A span whose end overflows int64: an error naming no negative bound.
+  json::Value R6 = call(
+      S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +
+             ",\"start\":1,\"length\":" +
+             std::to_string(std::numeric_limits<int64_t>::max()) +
+             ",\"text\":\"2\"}}");
+  EXPECT_FALSE(okOf(R6));
+  ASSERT_NE(R6.find("error"), nullptr);
+  EXPECT_EQ(R6.find("error")->asString().find('-'), std::string::npos)
+      << R6.find("error")->asString();
+  expectMatchesOracle(S, Doc, Text, "after an overflowing edit span");
   // Missing text.
   json::Value R3 =
       call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +
@@ -368,7 +409,6 @@ struct Lcg {
 
 struct TierCounts {
   int Reuse = 0;
-  int Incremental = 0;
   int Full = 0;
 };
 
@@ -395,7 +435,7 @@ void runEditScript(const std::string &Name, const std::string &Source,
     case 0: // literal-only: another number
       Replacement = std::to_string(Rng.next() % 95 + 1);
       break;
-    case 1: // arrow-free subtree growth around the literal
+    case 1: // arrow-free subtree growth around the literal: full tier
       Replacement = "(" + Old + " + " + std::to_string(Rng.next() % 9 + 1) +
                     ")";
       break;
@@ -403,7 +443,7 @@ void runEditScript(const std::string &Name, const std::string &Source,
       Replacement = "(if true then " + Old + " else " +
                     std::to_string(Rng.next() % 9 + 1) + ")";
       break;
-    case 3: // lambda in the replaced subtree: forces the full tier
+    case 3: // lambda in the replaced subtree
       Replacement = "((fn q => q + " + std::to_string(Rng.next() % 9 + 1) +
                     ") " + Old + ")";
       break;
@@ -426,11 +466,15 @@ void runEditScript(const std::string &Name, const std::string &Source,
     ASSERT_NE(Tier, nullptr) << Where;
     if (Tier->asString() == "reuse")
       ++Tiers.Reuse;
-    else if (Tier->asString() == "incremental")
-      ++Tiers.Incremental;
-    else
+    else if (Tier->asString() == "full")
       ++Tiers.Full;
-    // A reuse-tier edit must dirty nothing.
+    else
+      ADD_FAILURE() << Where << ": unknown tier " << Tier->asString();
+    // Every edit dirties exactly the contexts it processes: none on the
+    // reuse tier, all of them on the full tier.
+    EXPECT_EQ(dig(ER, {"result", "analysis", "dirtied_contexts"})->asInt(),
+              dig(ER, {"result", "analysis", "processed_contexts"})->asInt())
+        << Where;
     if (Tier->asString() == "reuse") {
       EXPECT_EQ(dig(ER, {"result", "analysis", "dirtied_contexts"})->asInt(),
                 0)
@@ -468,28 +512,24 @@ TEST(ServerDifferential, CorpusEditScripts) {
     if (::testing::Test::HasFatalFailure())
       return;
   }
-  // The scripts must actually exercise every tier, and meet the
+  // The scripts must actually exercise both tiers, and meet the
   // acceptance floor of 200+ verified random edits.
   EXPECT_GE(TotalEdits, 200);
   EXPECT_GT(Total.Reuse, 0);
-  EXPECT_GT(Total.Incremental, 0);
   EXPECT_GT(Total.Full, 0);
 }
 
 //===----------------------------------------------------------------------===//
-// Incrementality: a small edit on a warm document re-processes fewer
-// contexts than the full analysis did.
+// Incrementality: a literal edit on a warm document dirties nothing, and a
+// structural edit re-runs the analysis but replays untouched shards.
 //===----------------------------------------------------------------------===//
 
-TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
+TEST(ServerIncrementality, ReuseEditDirtiesNothingFullEditReplaysShards) {
   driver::Session S;
   std::string Text = programs::appelSource(16);
   int64_t Doc = -1;
   json::Value R = openDoc(S, Text, &Doc);
   ASSERT_TRUE(okOf(R));
-  int64_t FullProcessed =
-      dig(R, {"result", "analysis", "processed_contexts"})->asInt();
-  ASSERT_GT(FullProcessed, 0);
 
   // A literal-only edit reuses the whole analysis: zero contexts dirtied.
   std::vector<std::pair<size_t, size_t>> Tokens = literalTokens(Text);
@@ -505,8 +545,7 @@ TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
   EXPECT_EQ(dig(E1, {"result", "analysis", "dirtied_contexts"})->asInt(), 0);
   Text.replace(Pos, Len, "77");
 
-  // A structural (arrow-free subtree) edit restarts the worklist from the
-  // edit's frontier only.
+  // A structural edit re-runs the analysis on the full tier.
   Tokens = literalTokens(Text);
   ASSERT_FALSE(Tokens.empty());
   auto [Pos2, Len2] = Tokens.back();
@@ -517,11 +556,7 @@ TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
                   ",\"length\":" + std::to_string(Len2) +
                   ",\"text\":" + jquote(Sub) + "}}");
   ASSERT_TRUE(okOf(E2));
-  EXPECT_EQ(dig(E2, {"result", "tier"})->asString(), "incremental");
-  int64_t Dirtied =
-      dig(E2, {"result", "analysis", "dirtied_contexts"})->asInt();
-  EXPECT_GT(Dirtied, 0);
-  EXPECT_LT(Dirtied, FullProcessed);
+  EXPECT_EQ(dig(E2, {"result", "tier"})->asString(), "full");
   Text.replace(Pos2, Len2, Sub);
   expectMatchesOracle(S, Doc, Text, "warm structural edit");
 

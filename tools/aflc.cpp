@@ -37,7 +37,7 @@
 ///   --metrics[=FILE]     emit per-stage metrics as JSON (stdout or FILE)
 ///   --batch DIR          run every .afl file under DIR (thread-pooled)
 ///   -j N                 worker threads for --batch (default: all cores)
-///   --serve              incremental analysis server: newline-delimited
+///   --serve              analysis server: newline-delimited
 ///                        JSON requests on stdin, responses on stdout
 ///                        (protocol in docs/SERVER.md)
 ///   --listen PORT        serve on 127.0.0.1:PORT instead (implies --serve)
@@ -106,7 +106,7 @@ void usage() {
       "  --timings           per-stage wall-time table\n"
       "  --metrics[=FILE]    per-stage metrics as JSON\n"
       "  --batch DIR [-j N]  run every .afl file under DIR concurrently\n"
-      "  --serve             incremental analysis server on stdin/stdout\n"
+      "  --serve             analysis server on stdin/stdout\n"
       "  --listen PORT       serve on 127.0.0.1:PORT instead (0 = ephemeral;\n"
       "                      implies --serve; prints the bound port on stderr)\n"
       "  --max-connections N concurrent-connection cap in listen mode "
