@@ -1,8 +1,6 @@
 #include "regions/RegionFinalize.h"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 
 using namespace afl;
 using namespace afl::regions;
@@ -79,9 +77,7 @@ public:
   void run() {
     canonicalizeGlobals();
     resolveNode(Prog.nodeMut(Prog.Root->id()));
-    std::set<RegionVarId> OuterBound(Prog.GlobalRegions.begin(),
-                                     Prog.GlobalRegions.end());
-    placeDomain(Prog.Root, OuterBound);
+    placeRegions();
     std::set<RegionVarId> RootAmbient(Prog.GlobalRegions.begin(),
                                       Prog.GlobalRegions.end());
     walkOverall(Prog.nodeMut(Prog.Root->id()), RootAmbient);
@@ -216,128 +212,119 @@ private:
       Out.insert(Scheme.begin(), Scheme.end());
     }
     // Lambda free regions already flow in through the type (the latent
-    // effect is part of frv of the arrow).
-    std::set<RegionVarId> Canon;
-    for (RegionVarId R : Out)
-      Canon.insert(canon(R));
-    return Canon;
+    // effect is part of frv of the arrow). Pass 1 left every annotation
+    // canonical, and frv yields canonical ids.
+    return Out;
   }
 
-  /// All regions mentioned within \p N's subtree, staying inside the
-  /// placement domain (memoized).
-  const std::set<RegionVarId> &mentioned(const RExpr *N) {
-    auto It = MentionedMemo.find(N->id());
-    if (It != MentionedMemo.end())
-      return It->second;
-    std::set<RegionVarId> M = ownMentions(N);
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children) {
-      const std::set<RegionVarId> &MC = mentioned(C);
-      M.insert(MC.begin(), MC.end());
-    }
-    return MentionedMemo.emplace(N->id(), std::move(M)).first->second;
+  bool inValueType(const RExpr *N, RegionVarId R) const {
+    std::set<RegionVarId> Type;
+    Prog.Types.freeRegionVars(N->type(), Type);
+    return Type.count(R);
   }
 
-  /// LCA placement of \p ToPlace within the subtree rooted at \p N.
-  /// Invariant: every region in \p ToPlace is mentioned only inside \p N's
-  /// subtree and does not occur in \p N's value type.
-  void place(const RExpr *N, const std::set<RegionVarId> &ToPlace) {
-    if (ToPlace.empty())
-      return;
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    std::set<RegionVarId> Own = ownMentions(N);
-    // Per node, not per region: the children's mention sets, and each
-    // child's canonical type regions, computed the first time a region
-    // could be pushed into that child.
-    std::vector<const std::set<RegionVarId> *> ChildMentions;
-    for (const RExpr *C : Children)
-      ChildMentions.push_back(&mentioned(C));
-    std::vector<std::optional<std::set<RegionVarId>>> ChildTypeRegions(
-        Children.size());
-    auto TypeRegions = [&](size_t I) -> const std::set<RegionVarId> & {
-      if (!ChildTypeRegions[I]) {
-        std::set<RegionVarId> Raw, Canon;
-        Prog.Types.freeRegionVars(Children[I]->type(), Raw);
-        for (RegionVarId T : Raw)
-          Canon.insert(canon(T));
-        ChildTypeRegions[I] = std::move(Canon);
-      }
-      return *ChildTypeRegions[I];
+  /// Places every letregion, one placement domain at a time: the program
+  /// top level, then each lambda body and letrec fnBody inside it. A region
+  /// a domain mentions that is not yet in scope is bound at the lowest
+  /// common ancestor (LCA) of the in-domain nodes that own-mention it. A
+  /// letregion may not bind a region of its own value's type, so when the
+  /// region is in the LCA's value type it is bound at the LCA's parent
+  /// instead; the domain root, which has no parent, binds it itself. Regions
+  /// bound in a domain, and a letrec's formals around its fnBody, are in
+  /// scope for the domains nested inside. Both walks use explicit stacks.
+  void placeRegions() {
+    constexpr uint32_t NoNode = ~0u;
+    const uint32_t NumRegions = Prog.Types.numRegionVars();
+    std::vector<char> InScope(NumRegions, 0);
+    for (RegionVarId G : Prog.GlobalRegions)
+      InScope[G] = 1;
+
+    // A task enters a domain (Body set; Formals put in scope around it) or
+    // leaves one (Body null; Restore undoes what entering put in scope).
+    struct Task {
+      const RExpr *Body;
+      const std::vector<RegionVarId> *Formals;
+      std::vector<std::pair<RegionVarId, char>> Restore;
     };
-    std::map<const RExpr *, std::set<RegionVarId>> Pushed;
-    std::vector<RegionVarId> BindHere;
-    constexpr size_t NoChild = static_cast<size_t>(-1);
-    for (RegionVarId R : ToPlace) {
-      size_t Target = NoChild;
-      bool Multi = false;
-      for (size_t I = 0; I != Children.size(); ++I) {
-        if (ChildMentions[I]->count(R)) {
-          if (Target != NoChild)
-            Multi = true;
-          Target = I;
-        }
-      }
-      bool CanPush = Target != NoChild && !Multi && !Own.count(R) &&
-                     !TypeRegions(Target).count(R);
-      if (CanPush)
-        Pushed[Children[Target]].insert(R);
-      else
-        BindHere.push_back(R);
-    }
-    if (!BindHere.empty()) {
-      std::sort(BindHere.begin(), BindHere.end());
-      RExpr *Mut = Prog.nodeMut(N->id());
-      for (RegionVarId R : BindHere)
-        Mut->boundRegionsMut().push_back(R);
-    }
-    for (const auto &[Child, S] : Pushed)
-      place(Child, S);
-  }
+    std::vector<Task> Work;
+    Work.push_back({Prog.Root, nullptr, {}});
 
-  void placeDomain(const RExpr *Body, const std::set<RegionVarId> &OuterBound) {
-    MentionedMemo.clear();
-    std::set<RegionVarId> Locals;
-    for (RegionVarId R : mentioned(Body))
-      if (!OuterBound.count(R))
-        Locals.insert(R);
-    place(Body, Locals);
-
-    std::set<RegionVarId> NewBound = OuterBound;
-    Locals.insert(NewBound.begin(), NewBound.end());
-    std::swap(Locals, NewBound);
-
-    // Recurse into inner domains. Collect them first: MentionedMemo is
-    // cleared per domain, so finish this domain's work before recursing.
-    std::vector<const RExpr *> InnerBodies;
-    std::vector<std::set<RegionVarId>> InnerBounds;
-    collectInnerDomains(Body, NewBound, InnerBodies, InnerBounds);
-    for (size_t I = 0; I != InnerBodies.size(); ++I)
-      placeDomain(InnerBodies[I], InnerBounds[I]);
-  }
-
-  void collectInnerDomains(const RExpr *N, const std::set<RegionVarId> &Bound,
-                           std::vector<const RExpr *> &Bodies,
-                           std::vector<std::set<RegionVarId>> &Bounds) {
-    if (const auto *L = dyn_cast<RLambdaExpr>(N)) {
-      Bodies.push_back(L->body());
-      Bounds.push_back(Bound);
-      return;
-    }
-    if (const auto *L = dyn_cast<RLetrecExpr>(N)) {
-      std::set<RegionVarId> B = Bound;
-      for (RegionVarId F : L->formals())
-        B.insert(F);
-      Bodies.push_back(L->fnBody());
-      Bounds.push_back(std::move(B));
-      collectInnerDomains(L->body(), Bound, Bodies, Bounds);
-      return;
-    }
+    // Per-domain scratch. Nodes are numbered in preorder, so a parent's
+    // number is below its children's and a subtree's numbers are one
+    // interval. The LCA of a region's sites is then the first ancestor of
+    // its last site numbered at most its first site: each region keeps
+    // only those two sites.
+    std::vector<const RExpr *> Nodes;
+    std::vector<uint32_t> Parent;
+    std::vector<RegionVarId> Locals;
+    std::vector<uint32_t> First(NumRegions, NoNode), Last(NumRegions, NoNode);
+    std::vector<std::pair<const RExpr *, uint32_t>> Stack;
     std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
-      collectInnerDomains(C, Bound, Bodies, Bounds);
+    std::vector<Task> Inner;
+
+    while (!Work.empty()) {
+      Task T = std::move(Work.back());
+      Work.pop_back();
+      if (!T.Body) {
+        for (auto [R, Old] : T.Restore)
+          InScope[R] = Old;
+        continue;
+      }
+      std::vector<std::pair<RegionVarId, char>> Restore;
+      if (T.Formals)
+        for (RegionVarId F : *T.Formals) {
+          Restore.push_back({F, InScope[F]});
+          InScope[F] = 1;
+        }
+
+      Nodes.clear();
+      Parent.clear();
+      Locals.clear();
+      Inner.clear();
+      Stack.push_back({T.Body, NoNode});
+      while (!Stack.empty()) {
+        auto [N, P] = Stack.back();
+        Stack.pop_back();
+        uint32_t I = Nodes.size();
+        Nodes.push_back(N);
+        Parent.push_back(P);
+        for (RegionVarId R : ownMentions(N)) {
+          if (InScope[R])
+            continue;
+          if (First[R] == NoNode) {
+            First[R] = I;
+            Locals.push_back(R);
+          }
+          Last[R] = I;
+        }
+        if (const auto *Lam = dyn_cast<RLambdaExpr>(N))
+          Inner.push_back({Lam->body(), nullptr, {}});
+        else if (const auto *Rec = dyn_cast<RLetrecExpr>(N))
+          Inner.push_back({Rec->fnBody(), &Rec->formals(), {}});
+        Children.clear();
+        inDomainChildren(N, Children);
+        for (const RExpr *C : Children)
+          Stack.push_back({C, I});
+      }
+
+      // Binding in ascending region order keeps each binder list sorted.
+      std::sort(Locals.begin(), Locals.end());
+      for (RegionVarId R : Locals) {
+        uint32_t A = Last[R];
+        while (A > First[R])
+          A = Parent[A];
+        First[R] = Last[R] = NoNode;
+        if (A != 0 && inValueType(Nodes[A], R))
+          A = Parent[A];
+        Prog.nodeMut(Nodes[A]->id())->boundRegionsMut().push_back(R);
+        InScope[R] = 1;
+        Restore.push_back({R, 0});
+      }
+
+      Work.push_back({nullptr, nullptr, std::move(Restore)});
+      for (auto It = Inner.rbegin(); It != Inner.rend(); ++It)
+        Work.push_back(std::move(*It));
+    }
   }
 
   //===------------------------------------------------------------------===//
@@ -345,10 +332,9 @@ private:
   //===------------------------------------------------------------------===//
 
   void walkOverall(RExpr *N, const std::set<RegionVarId> &Ambient) {
-    std::set<RegionVarId> Amb = Ambient;
-    for (RegionVarId R : N->boundRegions())
-      Amb.insert(R);
-    N->overallEffectMut() = Amb;
+    std::set<RegionVarId> &Amb = N->overallEffectMut();
+    Amb = Ambient;
+    Amb.insert(N->boundRegions().begin(), N->boundRegions().end());
 
     if (auto *L = dyn_cast<RLambdaExpr>(N)) {
       walkOverall(Prog.nodeMut(L->body()->id()), latentRegions(N->type()));
@@ -369,7 +355,6 @@ private:
   RegionProgram &Prog;
   std::vector<EffectSet> &RawEff;
   const std::unordered_map<RNodeId, RSubst> &RegAppSubst;
-  std::unordered_map<RNodeId, std::set<RegionVarId>> MentionedMemo;
 };
 
 } // namespace

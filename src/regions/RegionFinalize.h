@@ -4,8 +4,11 @@
 /// Finalization of a freshly inferred region program:
 ///   * resolves every region annotation (writes, reads, formals, actuals,
 ///     effects, globals) to canonical region-variable ids;
-///   * places `letregion` bindings at the lowest covering node per
-///     placement domain (program top level / each function body);
+///   * places `letregion` bindings per placement domain (program top
+///     level, lambda body, letrec fnBody): a region not yet in scope is
+///     bound at the lowest common ancestor of the nodes that mention it,
+///     or at its parent when the region is in that node's value type;
+///     the walk is iterative;
 ///   * computes per-node overall effects (§4.2);
 ///   * computes the free-region sets used to restrict abstract region
 ///     environments in the closure analysis.

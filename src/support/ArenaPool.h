@@ -11,7 +11,7 @@
 /// previous one instead of mapping fresh pages.
 ///
 /// Pooling is on by default; setGlobalEnabled(false) turns it off for the
-/// process (tests and the arena-pool benchmark compare both settings).
+/// process (tests compare both settings).
 /// The global pool retains at most 32 arenas.
 ///
 //===----------------------------------------------------------------------===//

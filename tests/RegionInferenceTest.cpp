@@ -227,6 +227,92 @@ TEST(RegionInference, OverallEffectCoversAccesses) {
   }
 }
 
+/// The nodes whose letregion binds \p R.
+std::vector<const RExpr *> bindersOf(const RegionProgram &P, RegionVarId R) {
+  std::vector<const RExpr *> Out;
+  for (const RExpr *N : P.nodes())
+    for (RegionVarId B : N->boundRegions())
+      if (B == R)
+        Out.push_back(N);
+  return Out;
+}
+
+/// The first node of kind \p K in node-id order.
+const RExpr *firstOfKind(const RegionProgram &P, RExpr::Kind K) {
+  for (const RExpr *N : P.nodes())
+    if (N->kind() == K)
+      return N;
+  return nullptr;
+}
+
+TEST(RegionPlacement, ValueTypeRegionBindsAtLcaParent) {
+  // The pair node is the LCA of its box region and of both component
+  // regions, but they are in its value type, so the enclosing let binds
+  // them.
+  auto P = infer("let x = (1, 2) in 5 end");
+  ASSERT_NE(P, nullptr);
+  const auto *Pair = cast<RPairExpr>(firstOfKind(*P, RExpr::Kind::Pair));
+  ASSERT_EQ(P->Root->kind(), RExpr::Kind::Let);
+  EXPECT_TRUE(Pair->boundRegions().empty()) << printRegionProgram(*P);
+  for (RegionVarId R : {Pair->writeRegion(), Pair->first()->writeRegion(),
+                        Pair->second()->writeRegion()})
+    EXPECT_EQ(bindersOf(*P, R), std::vector<const RExpr *>{P->Root})
+        << "r" << R << "\n"
+        << printRegionProgram(*P);
+}
+
+TEST(RegionPlacement, IfBindsItsConditionAndNoSharedBranchRegion) {
+  // Both branches write their first component into one region (their
+  // types unify with the if's), so neither branch binds it: the if is its
+  // LCA and has it in its value type, so the let binds it. The
+  // condition's region is read by the if itself, which binds it.
+  auto P = infer("let y = if true then fst (1, 2) else fst (3, 4) in 5 end");
+  ASSERT_NE(P, nullptr);
+  const auto *If = cast<RIfExpr>(firstOfKind(*P, RExpr::Kind::If));
+  const auto *Then =
+      cast<RPairExpr>(cast<RUnOpExpr>(If->thenExpr())->operand());
+  const auto *Else =
+      cast<RPairExpr>(cast<RUnOpExpr>(If->elseExpr())->operand());
+  RegionVarId Shared = Then->first()->writeRegion();
+  ASSERT_EQ(Shared, Else->first()->writeRegion());
+  EXPECT_EQ(bindersOf(*P, Shared), std::vector<const RExpr *>{P->Root})
+      << printRegionProgram(*P);
+  EXPECT_EQ(bindersOf(*P, If->cond()->writeRegion()),
+            std::vector<const RExpr *>{If})
+      << printRegionProgram(*P);
+  // A region only one branch mentions stays in that branch.
+  EXPECT_EQ(bindersOf(*P, Then->writeRegion()),
+            std::vector<const RExpr *>{If->thenExpr()})
+      << printRegionProgram(*P);
+}
+
+TEST(RegionPlacement, LambdaBodyRegionBindsInsideTheBody) {
+  // The pair is built and consumed inside the body and is not in the
+  // arrow type, so the body's own domain binds its regions.
+  auto P = infer("let f = fn x => fst (x, 1) in f 2 end");
+  ASSERT_NE(P, nullptr);
+  const auto *Lam = cast<RLambdaExpr>(firstOfKind(*P, RExpr::Kind::Lambda));
+  const auto *Pair = cast<RPairExpr>(firstOfKind(*P, RExpr::Kind::Pair));
+  EXPECT_EQ(bindersOf(*P, Pair->writeRegion()),
+            std::vector<const RExpr *>{Lam->body()})
+      << printRegionProgram(*P);
+  EXPECT_EQ(bindersOf(*P, Pair->second()->writeRegion()),
+            std::vector<const RExpr *>{Lam->body()})
+      << printRegionProgram(*P);
+}
+
+TEST(RegionPlacement, LetrecFormalsAreNotReboundInFnBody) {
+  // The body reads the parameter region and writes the result region, both
+  // formals; they are in scope for the whole fnBody.
+  auto P = infer("letrec f n = if n = 0 then 0 else f (n - 1) in f 3 end");
+  ASSERT_NE(P, nullptr);
+  const auto *L = cast<RLetrecExpr>(firstOfKind(*P, RExpr::Kind::Letrec));
+  ASSERT_GE(L->formals().size(), 2u);
+  for (RegionVarId F : L->formals())
+    EXPECT_TRUE(bindersOf(*P, F).empty()) << "r" << F << "\n"
+                                          << printRegionProgram(*P);
+}
+
 class ValidatorProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ValidatorProperty, RandomProgramsValidate) {

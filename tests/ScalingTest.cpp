@@ -7,6 +7,7 @@
 #include "interp/RefInterp.h"
 
 #include <chrono>
+#include <cmath>
 #include <gtest/gtest.h>
 
 using namespace afl;
@@ -29,6 +30,65 @@ std::string chainProgram(int K) {
   for (int I = 0; I != 2 * K + 1; ++I)
     Src += " end";
   return Src;
+}
+
+/// perfbench's `straight-line` family (perfbench/WORKLOADS.md) with fixed
+/// literals; the analysis counts do not depend on the literal values.
+/// `let x1 = (1, 1) in ... fst x1 + snd xn end...`
+std::string letChainProgram(int N) {
+  std::string Src;
+  for (int I = 1; I <= N; ++I)
+    Src += "let x" + std::to_string(I) + " = (1, 1) in ";
+  Src += "fst x1 + snd x" + std::to_string(N);
+  for (int I = 0; I != N; ++I)
+    Src += " end";
+  return Src;
+}
+
+/// `1 + 1 + ... + 1` with \p N terms.
+std::string sumProgram(int N) {
+  std::string Src = "1";
+  for (int I = 1; I < N; ++I)
+    Src += " + 1";
+  return Src;
+}
+
+TEST(Scaling, StraightLineCountExponentsWithinBound) {
+  // The n -> 2n growth exponent, log2(count(2n) / count(n)), of the state
+  // variables and constraints on each straight-line family. Deterministic
+  // counts only; no wall time is gated. Every region in scope is in every
+  // node's state vector, so both counts grow quadratically today (about
+  // 1.99); effect-sparse state vectors should lower this bound.
+  constexpr double Bound = 2.0;
+  struct Family {
+    const char *Name;
+    std::string (*Source)(int);
+    int N;
+  };
+  for (const Family &F : {Family{"let-chain", letChainProgram, 60},
+                          Family{"sum", sumProgram, 100}}) {
+    driver::PipelineOptions Options;
+    Options.SkipRuns = true;
+    driver::PipelineResult Small = driver::runPipeline(F.Source(F.N), Options);
+    driver::PipelineResult Big =
+        driver::runPipeline(F.Source(2 * F.N), Options);
+    ASSERT_TRUE(Small.ok()) << F.Name << ": " << Small.Diags.str();
+    ASSERT_TRUE(Big.ok()) << F.Name << ": " << Big.Diags.str();
+    auto Exponent = [](size_t A, size_t B) {
+      return std::log2(static_cast<double>(B) / static_cast<double>(A));
+    };
+    ASSERT_GT(Small.Analysis.NumStateVars, 0u) << F.Name;
+    ASSERT_GT(Small.Analysis.NumConstraints, 0u) << F.Name;
+    EXPECT_LE(Exponent(Small.Analysis.NumStateVars, Big.Analysis.NumStateVars),
+              Bound)
+        << F.Name << ": " << Small.Analysis.NumStateVars << " -> "
+        << Big.Analysis.NumStateVars << " state variables";
+    EXPECT_LE(
+        Exponent(Small.Analysis.NumConstraints, Big.Analysis.NumConstraints),
+        Bound)
+        << F.Name << ": " << Small.Analysis.NumConstraints << " -> "
+        << Big.Analysis.NumConstraints << " constraints";
+  }
 }
 
 TEST(Scaling, SixtyFourFunctionsAnalyzeQuickly) {
