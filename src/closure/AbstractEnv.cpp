@@ -64,7 +64,7 @@ RegEnvTable::colorsOf(RegEnvId Id,
 }
 
 RegEnvId RegEnvTable::restrict(RegEnvId Id,
-                               const std::set<RegionVarId> &Keep) {
+                               const FlatSet<RegionVarId> &Keep) {
   RegEnvMap Out;
   Out.reserve(Keep.size());
   for (const auto &[Var, C] : Envs[Id])

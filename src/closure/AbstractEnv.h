@@ -59,7 +59,7 @@ public:
                           const std::set<regions::RegionVarId> &Vars) const;
 
   /// Restricts \p Id to the variables in \p Keep (all must be mapped).
-  RegEnvId restrict(RegEnvId Id, const std::set<regions::RegionVarId> &Keep);
+  RegEnvId restrict(RegEnvId Id, const FlatSet<regions::RegionVarId> &Keep);
 
   /// Extends \p Id with \p Var bound to the minimal color not in the
   /// range of \p Id (the letregion rule of Fig. 3).

@@ -165,7 +165,7 @@ private:
   /// ascending set of the regions' colors in \p Env). Both chains read
   /// the plan instead of searching the environment and the shape again.
   ShapeId planContext(const RExpr *N, RegEnvId Env, size_t Base) {
-    const std::set<RegionVarId> &Eff = N->overallEffect();
+    const RegionSet &Eff = N->overallEffect();
     const closure::RegEnvMap &Map = CA.envs().get(Env);
     std::vector<Color> Colors;
     Colors.reserve(Eff.size());
@@ -223,7 +223,7 @@ private:
     }
     E.Done = true;
 
-    const std::set<RegionVarId> &Eff = N->overallEffect();
+    const RegionSet &Eff = N->overallEffect();
     const size_t NumEff = Eff.size();
     const size_t Base = PlanStack.size();
     PlanStack.resize(Base + NumEff);
@@ -273,10 +273,9 @@ private:
     if (IV.size(Sh) != NumEff) {
       LastAtPos.assign(NumEff, 0);
       std::vector<uint8_t> Seen(IV.size(Sh), 0);
-      size_t J = NumEff;
-      for (auto It = Eff.rbegin(); It != Eff.rend(); ++It) {
-        uint32_t Pos = PlanStack[Base + --J];
-        if (HasFree(*It) && !Seen[Pos])
+      for (size_t J = NumEff; J-- != 0;) {
+        uint32_t Pos = PlanStack[Base + J];
+        if (HasFree(Eff[J]) && !Seen[Pos])
           Seen[Pos] = LastAtPos[J] = 1;
       }
     }

@@ -231,17 +231,13 @@ std::string driver::formatTimings(const PipelineStats &Stats,
                   Simp.Components, Simp.ThreadsUsed);
     Out += Buf;
   }
-  if (ArenaPool::globalEnabled()) {
-    ArenaPool::Stats Pool = ArenaPool::global().stats();
-    std::snprintf(Buf, sizeof(Buf),
-                  "memory: arena pool %zu/%zu checkout(s) reused, "
-                  "%zu arena(s) pooled (%zu KiB retained)\n",
-                  Pool.Hits, Pool.Checkouts, Pool.Pooled,
-                  Pool.RetainedBytes / 1024);
-    Out += Buf;
-  } else {
-    Out += "memory: arena pool off\n";
-  }
+  ArenaPool::Stats Pool = ArenaPool::global().stats();
+  std::snprintf(Buf, sizeof(Buf),
+                "memory: arena pool %zu/%zu checkout(s) reused, "
+                "%zu arena(s) pooled (%zu KiB retained)\n",
+                Pool.Hits, Pool.Checkouts, Pool.Pooled,
+                Pool.RetainedBytes / 1024);
+  Out += Buf;
   return Out;
 }
 
@@ -253,7 +249,6 @@ void driver::recordMemoryMetrics(MetricsRegistry &Reg) {
   ArenaPool::Stats S = ArenaPool::global().stats();
   MetricScope Mem(Reg, "memory");
   MetricScope Pool(Reg, "arena_pool");
-  Reg.set("enabled", ArenaPool::globalEnabled() ? 1 : 0);
   Reg.set("checkouts", S.Checkouts);
   Reg.set("hits", S.Hits);
   Reg.set("misses", S.Misses);

@@ -68,48 +68,6 @@ std::string domainString(const support::PackedArray<Bits> &Dom) {
   return O;
 }
 
-/// The child edges of \p N in a fixed order (null-padded).
-std::array<const regions::RExpr *, 3> childrenOf(const regions::RExpr *N) {
-  using regions::cast;
-  using K = regions::RExpr::Kind;
-  switch (N->kind()) {
-  case K::Lambda:
-    return {cast<regions::RLambdaExpr>(N)->body()};
-  case K::App: {
-    const auto *A = cast<regions::RAppExpr>(N);
-    return {A->fn(), A->arg()};
-  }
-  case K::Let: {
-    const auto *L = cast<regions::RLetExpr>(N);
-    return {L->init(), L->body()};
-  }
-  case K::Letrec: {
-    const auto *L = cast<regions::RLetrecExpr>(N);
-    return {L->fnBody(), L->body()};
-  }
-  case K::If: {
-    const auto *I = cast<regions::RIfExpr>(N);
-    return {I->cond(), I->thenExpr(), I->elseExpr()};
-  }
-  case K::Pair: {
-    const auto *P = cast<regions::RPairExpr>(N);
-    return {P->first(), P->second()};
-  }
-  case K::Cons: {
-    const auto *C = cast<regions::RConsExpr>(N);
-    return {C->head(), C->tail()};
-  }
-  case K::UnOp:
-    return {cast<regions::RUnOpExpr>(N)->operand()};
-  case K::BinOp: {
-    const auto *B = cast<regions::RBinOpExpr>(N);
-    return {B->lhs(), B->rhs()};
-  }
-  default: // Int, Bool, Unit, Var, RegApp, Nil: leaves.
-    return {};
-  }
-}
-
 /// True iff \p New equals \p Old node for node except for Int/Bool
 /// literal payloads: the same kinds and operators, node ids, types,
 /// region annotations, effects and binders. Closure analysis, constraint
@@ -205,8 +163,8 @@ bool sameModuloLiterals(const regions::RegionProgram &Old,
     default:
       break;
     }
-    std::array<const regions::RExpr *, 3> OC = childrenOf(O);
-    std::array<const regions::RExpr *, 3> NC = childrenOf(N);
+    std::array<const regions::RExpr *, 3> OC = regions::childrenOf(O);
+    std::array<const regions::RExpr *, 3> NC = regions::childrenOf(N);
     for (size_t I = 0; I != OC.size() && OC[I]; ++I)
       Stack.push_back({OC[I], NC[I]});
   }
@@ -441,9 +399,7 @@ std::string Session::handleQuery(const json::Value &Params,
     // and region-IR arenas from the pool (docs/OBSERVABILITY.md).
     ArenaPool::Stats Pool = ArenaPool::global().stats();
     O += ",\"memory\":{\"arena_pool\":{";
-    O += "\"enabled\":" +
-         std::string(ArenaPool::globalEnabled() ? "true" : "false");
-    O += ",\"checkouts\":" + std::to_string(Pool.Checkouts);
+    O += "\"checkouts\":" + std::to_string(Pool.Checkouts);
     O += ",\"hits\":" + std::to_string(Pool.Hits);
     O += ",\"misses\":" + std::to_string(Pool.Misses);
     O += ",\"returns\":" + std::to_string(Pool.Returns);

@@ -12,7 +12,7 @@
 /// T-T-equivalent conservative completion and the A-F-L completion.
 ///
 /// Nodes carry the analysis results needed downstream: the region type μ,
-/// the (resolved) effect, the regions read/written by the node's own
+/// the letregion-masked effect, the regions read/written by the node's own
 /// evaluation step, and the "overall effect" (§4.2) that bounds where
 /// choice points may change region states.
 ///
@@ -23,10 +23,11 @@
 
 #include "ast/Expr.h"
 #include "regions/RegionTypes.h"
+#include "support/FlatSet.h"
 #include "support/StringInterner.h"
 
+#include <array>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace afl {
@@ -38,6 +39,9 @@ using VarId = uint32_t;
 
 /// Dense id of an IR node within its RegionProgram.
 using RNodeId = uint32_t;
+
+/// An ascending set of canonical region variables.
+using RegionSet = FlatSet<RegionVarId>;
 
 /// Base class of region-explicit IR nodes.
 class RExpr {
@@ -77,15 +81,22 @@ public:
   /// region at an application; the pair region at fst/snd).
   const std::vector<RegionVarId> &readRegions() const { return ReadRegions; }
 
-  /// The node's effect (paper §2): every region it may read or write while
-  /// evaluating, fully resolved to canonical region variables.
-  const std::set<RegionVarId> &effect() const { return Effect; }
+  /// The node's letregion-masked effect (paper §2, Tofte/Talpin's
+  /// `letregion ρ in e` has effect φ \ {ρ}): the regions its own step
+  /// accesses (its write and read regions and, at an application, the
+  /// latent regions of the function's arrow) plus, for each child in the
+  /// same placement domain, the child's effect minus the regions the child
+  /// binds. It holds the node's own binders but no region bound strictly
+  /// below it.
+  const RegionSet &effect() const { return Effect; }
 
   /// The overall effect at this node (§4.2): the arrow effect of the
-  /// enclosing abstraction plus letregion-bound variables in scope inside
-  /// that abstraction. Only these regions may change state on entry/exit
-  /// of this node.
-  const std::set<RegionVarId> &overallEffect() const { return OverallEffect; }
+  /// enclosing abstraction (the global regions at top level) plus the
+  /// letregion-bound variables on the path to this node inside that
+  /// abstraction. Only these regions may change state on entry/exit of
+  /// this node. The set is shared: a node that binds nothing has the same
+  /// set, at the same address, as its parent in the placement domain.
+  const RegionSet &overallEffect() const { return *OverallEffect; }
 
   /// Region variables letregion-bound *around* this node ("letregion ρ⃗ in
   /// e end" is represented as an annotation so node identity is stable
@@ -97,8 +108,8 @@ public:
   void setType(RTypeId T) { Type = T; }
   void setWriteRegion(RegionVarId R) { WriteRegion = R; }
   void addReadRegion(RegionVarId R) { ReadRegions.push_back(R); }
-  std::set<RegionVarId> &effectMut() { return Effect; }
-  std::set<RegionVarId> &overallEffectMut() { return OverallEffect; }
+  RegionSet &effectMut() { return Effect; }
+  void setOverallEffect(const RegionSet *S) { OverallEffect = S; }
   std::vector<RegionVarId> &boundRegionsMut() { return BoundRegions; }
   std::vector<RegionVarId> &readRegionsMut() { return ReadRegions; }
 
@@ -112,8 +123,11 @@ private:
   RegionVarId WriteRegion = NoRegion;
   std::vector<RegionVarId> ReadRegions;
   std::vector<RegionVarId> BoundRegions;
-  std::set<RegionVarId> Effect;
-  std::set<RegionVarId> OverallEffect;
+  RegionSet Effect;
+  /// Owned by the RegionProgram; nodes outside the final tree (left over
+  /// from the polymorphic-recursion fixpoint) keep the empty set.
+  inline static const RegionSet NoRegions;
+  const RegionSet *OverallEffect = &NoRegions;
 };
 
 /// Integer constant "n @ ρ".
@@ -166,15 +180,15 @@ public:
 
   /// Region variables in scope that the closure (body + type) actually
   /// mentions; abstract region environments are restricted to this set.
-  const std::set<RegionVarId> &freeRegions() const { return FreeRegions; }
-  std::set<RegionVarId> &freeRegionsMut() { return FreeRegions; }
+  const RegionSet &freeRegions() const { return FreeRegions; }
+  RegionSet &freeRegionsMut() { return FreeRegions; }
 
   static bool classof(const RExpr *E) { return E->kind() == Kind::Lambda; }
 
 private:
   VarId Param;
   const RExpr *Body;
-  std::set<RegionVarId> FreeRegions;
+  RegionSet FreeRegions;
 };
 
 /// Application "e1 e2" — reads the closure region of e1.
@@ -225,8 +239,8 @@ public:
   /// Like RLambdaExpr::freeRegions, for the recursive function's body:
   /// region variables from *enclosing* scopes (formals excluded) that the
   /// body mentions.
-  const std::set<RegionVarId> &freeRegions() const { return FreeRegions; }
-  std::set<RegionVarId> &freeRegionsMut() { return FreeRegions; }
+  const RegionSet &freeRegions() const { return FreeRegions; }
+  RegionSet &freeRegionsMut() { return FreeRegions; }
 
   static bool classof(const RExpr *E) { return E->kind() == Kind::Letrec; }
 
@@ -236,7 +250,7 @@ private:
   VarId Param;
   const RExpr *FnBody;
   const RExpr *Body;
-  std::set<RegionVarId> FreeRegions;
+  RegionSet FreeRegions;
 };
 
 /// Region application "f[ρ1,...,ρn] @ ρ" — reads f's region-polymorphic
@@ -349,6 +363,10 @@ template <typename T> const T *cast(const RExpr *E) {
 template <typename T> const T *dyn_cast(const RExpr *E) {
   return isa<T>(E) ? static_cast<const T *>(E) : nullptr;
 }
+
+/// The direct subexpressions of \p N in evaluation order, null-padded: a
+/// lambda's body; a letrec's fnBody, then its body; none for a leaf.
+std::array<const RExpr *, 3> childrenOf(const RExpr *N);
 
 } // namespace regions
 } // namespace afl

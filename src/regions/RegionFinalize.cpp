@@ -1,89 +1,73 @@
 #include "regions/RegionFinalize.h"
 
 #include <algorithm>
+#include <set>
 
 using namespace afl;
 using namespace afl::regions;
 
 namespace {
 
-/// Appends the children of \p N that belong to the *same placement domain*
-/// (i.e., everything except lambda bodies and letrec function bodies,
-/// which start their own domains).
-void inDomainChildren(const RExpr *N, std::vector<const RExpr *> &Out) {
-  switch (N->kind()) {
-  case RExpr::Kind::Int:
-  case RExpr::Kind::Bool:
-  case RExpr::Kind::Unit:
-  case RExpr::Kind::Var:
-  case RExpr::Kind::Nil:
-  case RExpr::Kind::RegApp:
-  case RExpr::Kind::Lambda: // body is a separate domain
-    return;
-  case RExpr::Kind::App: {
-    const auto *A = cast<RAppExpr>(N);
-    Out.push_back(A->fn());
-    Out.push_back(A->arg());
-    return;
-  }
-  case RExpr::Kind::Let: {
-    const auto *L = cast<RLetExpr>(N);
-    Out.push_back(L->init());
-    Out.push_back(L->body());
-    return;
-  }
-  case RExpr::Kind::Letrec: {
-    // fnBody is a separate domain; the in-scope continuation is same-domain.
-    Out.push_back(cast<RLetrecExpr>(N)->body());
-    return;
-  }
-  case RExpr::Kind::If: {
-    const auto *I = cast<RIfExpr>(N);
-    Out.push_back(I->cond());
-    Out.push_back(I->thenExpr());
-    Out.push_back(I->elseExpr());
-    return;
-  }
-  case RExpr::Kind::Pair: {
-    const auto *P = cast<RPairExpr>(N);
-    Out.push_back(P->first());
-    Out.push_back(P->second());
-    return;
-  }
-  case RExpr::Kind::Cons: {
-    const auto *C = cast<RConsExpr>(N);
-    Out.push_back(C->head());
-    Out.push_back(C->tail());
-    return;
-  }
-  case RExpr::Kind::UnOp:
-    Out.push_back(cast<RUnOpExpr>(N)->operand());
-    return;
-  case RExpr::Kind::BinOp: {
-    const auto *B = cast<RBinOpExpr>(N);
-    Out.push_back(B->lhs());
-    Out.push_back(B->rhs());
-    return;
-  }
-  }
-}
-
 class Finalizer {
 public:
-  Finalizer(RegionProgram &Prog, std::vector<EffectSet> &RawEff,
+  Finalizer(RegionProgram &Prog,
             const std::unordered_map<RNodeId, RSubst> &RegAppSubst)
-      : Prog(Prog), RawEff(RawEff), RegAppSubst(RegAppSubst) {}
+      : Prog(Prog), RegAppSubst(RegAppSubst) {}
 
+  /// Finalizes one placement domain at a time: the program top level, then
+  /// each lambda body and letrec fnBody inside it. One preorder walk per
+  /// domain canonicalizes the nodes' annotations and records each node's
+  /// in-domain parent; placement, overall effects and masked effects then
+  /// read those arrays. Regions bound in a domain, and a letrec's formals
+  /// around its fnBody, are in scope for the domains nested inside. Every
+  /// walk uses an explicit stack.
   void run() {
     canonicalizeGlobals();
-    resolveNode(Prog.nodeMut(Prog.Root->id()));
-    placeRegions();
-    std::set<RegionVarId> RootAmbient(Prog.GlobalRegions.begin(),
-                                      Prog.GlobalRegions.end());
-    walkOverall(Prog.nodeMut(Prog.Root->id()), RootAmbient);
+    InScope.assign(Prog.Types.numRegionVars(), 0);
+    for (RegionVarId G : Prog.GlobalRegions)
+      InScope[G] = 1;
+    First.assign(InScope.size(), NoNode);
+    Last.assign(InScope.size(), NoNode);
+
+    Work.push_back({Prog.Root, nullptr, {}});
+    while (!Work.empty()) {
+      Task T = std::move(Work.back());
+      Work.pop_back();
+      if (!T.Body) {
+        for (auto [R, Old] : T.Restore)
+          InScope[R] = Old;
+        continue;
+      }
+      std::vector<std::pair<RegionVarId, char>> Restore;
+      if (const auto *Rec = T.Binder ? dyn_cast<RLetrecExpr>(T.Binder)
+                                     : nullptr)
+        for (RegionVarId F : Rec->formals()) {
+          Restore.push_back({F, InScope[F]});
+          InScope[F] = 1;
+        }
+      collectDomain(T.Body);
+      placeRegions(Restore);
+      fillOverallEffects(T.Binder);
+      fillEffects();
+
+      Work.push_back({nullptr, nullptr, std::move(Restore)});
+      for (auto It = Inner.rbegin(); It != Inner.rend(); ++It)
+        Work.push_back(std::move(*It));
+    }
   }
 
 private:
+  static constexpr uint32_t NoNode = ~0u;
+
+  /// A task enters a domain (Body set; Binder is the lambda or letrec whose
+  /// body it is, null at top level) or leaves one (Body null; Restore
+  /// undoes what entering put in scope).
+  struct Task {
+    const RExpr *Body;
+    const RExpr *Binder;
+    std::vector<std::pair<RegionVarId, char>> Restore;
+  };
+
   RegionVarId canon(RegionVarId R) const { return Prog.Types.findRegion(R); }
 
   void canonicalizeGlobals() {
@@ -101,20 +85,23 @@ private:
     return Prog.Types.regionsOf(Probe);
   }
 
+  static RegionSet toRegionSet(const std::set<RegionVarId> &S) {
+    return RegionSet::fromSorted(std::vector<RegionVarId>(S.begin(), S.end()));
+  }
+
   //===------------------------------------------------------------------===//
-  // Pass 1: canonicalize node annotations, resolve effects and actuals.
+  // The domain walk: canonical annotations, preorder and parents.
   //===------------------------------------------------------------------===//
 
-  void resolveNode(RExpr *N) {
-    // Write/read regions.
+  /// Rewrites \p N's region annotations to canonical ids: write and read
+  /// regions, letrec formals, region-application actuals, and the free
+  /// regions of lambdas and letrecs. The callee of a region application is
+  /// an earlier preorder ancestor, so its formals are already canonical.
+  void canonicalize(RExpr *N) {
     if (N->hasWriteRegion())
       N->setWriteRegion(canon(N->writeRegion()));
     for (RegionVarId &R : N->readRegionsMut())
       R = canon(R);
-
-    // Resolved cumulative effect.
-    if (N->id() < RawEff.size())
-      N->effectMut() = Prog.Types.regionsOf(RawEff[N->id()]);
 
     switch (N->kind()) {
     case RExpr::Kind::Letrec: {
@@ -129,8 +116,6 @@ private:
           Formals.push_back(C);
       }
       L->formalsMut() = Formals;
-      resolveNode(Prog.nodeMut(L->fnBody()->id()));
-      resolveNode(Prog.nodeMut(L->body()->id()));
 
       // Free regions of the recursive function's body, excluding formals
       // and the scheme arrow's own box region (a per-use placeholder that
@@ -138,11 +123,11 @@ private:
       // mentioned by any environment).
       std::set<RegionVarId> Free;
       Prog.Types.freeRegionVars(Prog.varInfo(L->fn()).Type, Free);
-      Free.insert(canon(N->writeRegion()));
+      Free.insert(N->writeRegion());
       for (RegionVarId F : Formals)
         Free.erase(F);
       Free.erase(Prog.Types.regionOf(Prog.varInfo(L->fn()).Type));
-      L->freeRegionsMut() = Free;
+      L->freeRegionsMut() = toRegionSet(Free);
       return;
     }
     case RExpr::Kind::RegApp: {
@@ -167,26 +152,15 @@ private:
       return;
     }
     case RExpr::Kind::Lambda: {
-      auto *L = static_cast<RLambdaExpr *>(N);
-      resolveNode(Prog.nodeMut(L->body()->id()));
       std::set<RegionVarId> Free;
       Prog.Types.freeRegionVars(N->type(), Free);
-      L->freeRegionsMut() = Free;
+      static_cast<RLambdaExpr *>(N)->freeRegionsMut() = toRegionSet(Free);
       return;
     }
     default:
-      break;
+      return;
     }
-
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
-      resolveNode(Prog.nodeMut(C->id()));
   }
-
-  //===------------------------------------------------------------------===//
-  // Pass 2: letregion placement.
-  //===------------------------------------------------------------------===//
 
   /// Regions this node itself mentions (its own memory operations, its
   /// value's type, region-application actuals; for letrec nodes also the
@@ -212,10 +186,55 @@ private:
       Out.insert(Scheme.begin(), Scheme.end());
     }
     // Lambda free regions already flow in through the type (the latent
-    // effect is part of frv of the arrow). Pass 1 left every annotation
-    // canonical, and frv yields canonical ids.
+    // effect is part of frv of the arrow). The node's annotations are
+    // canonical by now, and frv yields canonical ids.
     return Out;
   }
+
+  /// Numbers the domain rooted at \p Body in preorder (Nodes, Parent),
+  /// canonicalizing each node as it is reached, records the first and last
+  /// own-mention site of each region not yet in scope, and queues the
+  /// domains nested inside (Inner).
+  void collectDomain(const RExpr *Body) {
+    Nodes.clear();
+    Parent.clear();
+    Locals.clear();
+    Inner.clear();
+    Stack.push_back({Body, NoNode});
+    while (!Stack.empty()) {
+      auto [N, P] = Stack.back();
+      Stack.pop_back();
+      uint32_t I = Nodes.size();
+      RExpr *M = Prog.nodeMut(N->id());
+      Nodes.push_back(M);
+      Parent.push_back(P);
+      canonicalize(M);
+      for (RegionVarId R : ownMentions(N)) {
+        if (InScope[R])
+          continue;
+        if (First[R] == NoNode) {
+          First[R] = I;
+          Locals.push_back(R);
+        }
+        Last[R] = I;
+      }
+      // A lambda body or letrec fnBody starts a domain of its own.
+      const RExpr *Nested = nullptr;
+      if (const auto *Lam = dyn_cast<RLambdaExpr>(N))
+        Nested = Lam->body();
+      else if (const auto *Rec = dyn_cast<RLetrecExpr>(N))
+        Nested = Rec->fnBody();
+      if (Nested)
+        Inner.push_back({Nested, N, {}});
+      for (const RExpr *C : childrenOf(N))
+        if (C && C != Nested)
+          Stack.push_back({C, I});
+    }
+  }
+
+  //===------------------------------------------------------------------===//
+  // Letregion placement.
+  //===------------------------------------------------------------------===//
 
   bool inValueType(const RExpr *N, RegionVarId R) const {
     std::set<RegionVarId> Type;
@@ -223,145 +242,113 @@ private:
     return Type.count(R);
   }
 
-  /// Places every letregion, one placement domain at a time: the program
-  /// top level, then each lambda body and letrec fnBody inside it. A region
-  /// a domain mentions that is not yet in scope is bound at the lowest
-  /// common ancestor (LCA) of the in-domain nodes that own-mention it. A
-  /// letregion may not bind a region of its own value's type, so when the
-  /// region is in the LCA's value type it is bound at the LCA's parent
-  /// instead; the domain root, which has no parent, binds it itself. Regions
-  /// bound in a domain, and a letrec's formals around its fnBody, are in
-  /// scope for the domains nested inside. Both walks use explicit stacks.
-  void placeRegions() {
-    constexpr uint32_t NoNode = ~0u;
-    const uint32_t NumRegions = Prog.Types.numRegionVars();
-    std::vector<char> InScope(NumRegions, 0);
-    for (RegionVarId G : Prog.GlobalRegions)
-      InScope[G] = 1;
-
-    // A task enters a domain (Body set; Formals put in scope around it) or
-    // leaves one (Body null; Restore undoes what entering put in scope).
-    struct Task {
-      const RExpr *Body;
-      const std::vector<RegionVarId> *Formals;
-      std::vector<std::pair<RegionVarId, char>> Restore;
-    };
-    std::vector<Task> Work;
-    Work.push_back({Prog.Root, nullptr, {}});
-
-    // Per-domain scratch. Nodes are numbered in preorder, so a parent's
-    // number is below its children's and a subtree's numbers are one
-    // interval. The LCA of a region's sites is then the first ancestor of
-    // its last site numbered at most its first site: each region keeps
-    // only those two sites.
-    std::vector<const RExpr *> Nodes;
-    std::vector<uint32_t> Parent;
-    std::vector<RegionVarId> Locals;
-    std::vector<uint32_t> First(NumRegions, NoNode), Last(NumRegions, NoNode);
-    std::vector<std::pair<const RExpr *, uint32_t>> Stack;
-    std::vector<const RExpr *> Children;
-    std::vector<Task> Inner;
-
-    while (!Work.empty()) {
-      Task T = std::move(Work.back());
-      Work.pop_back();
-      if (!T.Body) {
-        for (auto [R, Old] : T.Restore)
-          InScope[R] = Old;
-        continue;
-      }
-      std::vector<std::pair<RegionVarId, char>> Restore;
-      if (T.Formals)
-        for (RegionVarId F : *T.Formals) {
-          Restore.push_back({F, InScope[F]});
-          InScope[F] = 1;
-        }
-
-      Nodes.clear();
-      Parent.clear();
-      Locals.clear();
-      Inner.clear();
-      Stack.push_back({T.Body, NoNode});
-      while (!Stack.empty()) {
-        auto [N, P] = Stack.back();
-        Stack.pop_back();
-        uint32_t I = Nodes.size();
-        Nodes.push_back(N);
-        Parent.push_back(P);
-        for (RegionVarId R : ownMentions(N)) {
-          if (InScope[R])
-            continue;
-          if (First[R] == NoNode) {
-            First[R] = I;
-            Locals.push_back(R);
-          }
-          Last[R] = I;
-        }
-        if (const auto *Lam = dyn_cast<RLambdaExpr>(N))
-          Inner.push_back({Lam->body(), nullptr, {}});
-        else if (const auto *Rec = dyn_cast<RLetrecExpr>(N))
-          Inner.push_back({Rec->fnBody(), &Rec->formals(), {}});
-        Children.clear();
-        inDomainChildren(N, Children);
-        for (const RExpr *C : Children)
-          Stack.push_back({C, I});
-      }
-
-      // Binding in ascending region order keeps each binder list sorted.
-      std::sort(Locals.begin(), Locals.end());
-      for (RegionVarId R : Locals) {
-        uint32_t A = Last[R];
-        while (A > First[R])
-          A = Parent[A];
-        First[R] = Last[R] = NoNode;
-        if (A != 0 && inValueType(Nodes[A], R))
-          A = Parent[A];
-        Prog.nodeMut(Nodes[A]->id())->boundRegionsMut().push_back(R);
-        InScope[R] = 1;
-        Restore.push_back({R, 0});
-      }
-
-      Work.push_back({nullptr, nullptr, std::move(Restore)});
-      for (auto It = Inner.rbegin(); It != Inner.rend(); ++It)
-        Work.push_back(std::move(*It));
+  /// Binds each region the domain mentions that is not yet in scope at the
+  /// lowest common ancestor (LCA) of the in-domain nodes that own-mention
+  /// it. A letregion may not bind a region of its own value's type, so when
+  /// the region is in the LCA's value type it is bound at the LCA's parent
+  /// instead; the domain root, which has no parent, binds it itself. Nodes
+  /// are numbered in preorder, so a parent's number is below its
+  /// children's and a subtree's numbers are one interval: the LCA of a
+  /// region's sites is the first ancestor of its last site numbered at
+  /// most its first site. Each bound region is put in scope and recorded
+  /// in \p Restore.
+  void placeRegions(std::vector<std::pair<RegionVarId, char>> &Restore) {
+    // Binding in ascending region order keeps each binder list sorted.
+    std::sort(Locals.begin(), Locals.end());
+    for (RegionVarId R : Locals) {
+      uint32_t A = Last[R];
+      while (A > First[R])
+        A = Parent[A];
+      First[R] = Last[R] = NoNode;
+      if (A != 0 && inValueType(Nodes[A], R))
+        A = Parent[A];
+      Nodes[A]->boundRegionsMut().push_back(R);
+      InScope[R] = 1;
+      Restore.push_back({R, 0});
     }
   }
 
   //===------------------------------------------------------------------===//
-  // Pass 3: overall effects.
+  // Overall effects (§4.2) and letregion-masked effects.
   //===------------------------------------------------------------------===//
 
-  void walkOverall(RExpr *N, const std::set<RegionVarId> &Ambient) {
-    std::set<RegionVarId> &Amb = N->overallEffectMut();
-    Amb = Ambient;
-    Amb.insert(N->boundRegions().begin(), N->boundRegions().end());
+  /// Gives each node of the domain its overall effect: the domain root gets
+  /// the ambient set (the globals at top level, the latent regions of the
+  /// lambda's or letrec's arrow for a body) plus its own binders; a node
+  /// that binds nothing shares its parent's set; a binder gets a new set,
+  /// its parent's merged with its own binders.
+  void fillOverallEffects(const RExpr *Binder) {
+    RegionSet Ambient;
+    if (!Binder)
+      Ambient = RegionSet::fromSorted(Prog.GlobalRegions);
+    else if (const auto *Rec = dyn_cast<RLetrecExpr>(Binder))
+      Ambient = toRegionSet(latentRegions(Prog.varInfo(Rec->fn()).Type));
+    else
+      Ambient = toRegionSet(latentRegions(Binder->type()));
+    for (uint32_t I = 0; I != Nodes.size(); ++I) {
+      RExpr *N = Nodes[I];
+      const std::vector<RegionVarId> &Bound = N->boundRegions();
+      if (I != 0 && Bound.empty()) {
+        N->setOverallEffect(&Nodes[Parent[I]]->overallEffect());
+        continue;
+      }
+      RegionSet S = I == 0 ? std::move(Ambient)
+                           : Nodes[Parent[I]]->overallEffect();
+      S.unionWith(RegionSet::fromSorted(Bound));
+      N->setOverallEffect(&Prog.OverallEffects.emplace_back(std::move(S)));
+    }
+  }
 
-    if (auto *L = dyn_cast<RLambdaExpr>(N)) {
-      walkOverall(Prog.nodeMut(L->body()->id()), latentRegions(N->type()));
-      return;
+  /// Fills every node's masked effect in reverse preorder, children before
+  /// parents: effect(N) = self(N) ∪ ⋃ (effect(c) \ bound(c)) over N's
+  /// in-domain children c, where self(N) is N's write and read regions
+  /// and, at an application, the latent regions of the function's arrow.
+  void fillEffects() {
+    Pending.resize(Nodes.size());
+    for (uint32_t I = Nodes.size(); I-- != 0;) {
+      RExpr *N = Nodes[I];
+      std::vector<RegionVarId> &E = Pending[I];
+      if (N->hasWriteRegion())
+        E.push_back(N->writeRegion());
+      E.insert(E.end(), N->readRegions().begin(), N->readRegions().end());
+      if (const auto *A = dyn_cast<RAppExpr>(N))
+        for (RegionVarId R : latentRegions(A->fn()->type()))
+          E.push_back(R);
+      std::sort(E.begin(), E.end());
+      E.erase(std::unique(E.begin(), E.end()), E.end());
+      if (I != 0) {
+        const std::vector<RegionVarId> &Bound = N->boundRegions();
+        std::vector<RegionVarId> &Up = Pending[Parent[I]];
+        std::set_difference(E.begin(), E.end(), Bound.begin(), Bound.end(),
+                            std::back_inserter(Up));
+      }
+      N->effectMut() = RegionSet::fromSorted(std::move(E));
+      E = {};
     }
-    if (auto *L = dyn_cast<RLetrecExpr>(N)) {
-      walkOverall(Prog.nodeMut(L->fnBody()->id()),
-                  latentRegions(Prog.varInfo(L->fn()).Type));
-      walkOverall(Prog.nodeMut(L->body()->id()), Amb);
-      return;
-    }
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
-      walkOverall(Prog.nodeMut(C->id()), Amb);
   }
 
   RegionProgram &Prog;
-  std::vector<EffectSet> &RawEff;
   const std::unordered_map<RNodeId, RSubst> &RegAppSubst;
+
+  std::vector<char> InScope;
+  std::vector<Task> Work;
+
+  // Per-domain scratch, indexed by preorder number (Nodes, Parent, Pending)
+  // or by region (First, Last: the first and last own-mention site of a
+  // region not yet in scope).
+  std::vector<RExpr *> Nodes;
+  std::vector<uint32_t> Parent;
+  std::vector<std::vector<RegionVarId>> Pending;
+  std::vector<RegionVarId> Locals;
+  std::vector<uint32_t> First, Last;
+  std::vector<std::pair<const RExpr *, uint32_t>> Stack;
+  std::vector<Task> Inner;
 };
 
 } // namespace
 
 void regions::finalizeRegionProgram(
-    RegionProgram &Prog, std::vector<EffectSet> &RawEff,
+    RegionProgram &Prog,
     const std::unordered_map<RNodeId, RSubst> &RegAppSubst) {
-  Finalizer F(Prog, RawEff, RegAppSubst);
-  F.run();
+  Finalizer(Prog, RegAppSubst).run();
 }

@@ -55,8 +55,6 @@ public:
 
   bool run(const ast::Expr *Root);
 
-  /// Raw (unresolved) effect per node id; consumed by finalization.
-  std::vector<EffectSet> RawEff;
   /// Instantiation substitution per region-application node.
   std::unordered_map<RNodeId, RSubst> RegAppSubst;
 
@@ -67,13 +65,21 @@ private:
   Res inferVar(const ast::VarExpr *E);
   Res inferLetrec(const ast::LetrecExpr *E);
 
-  /// Registers \p N's type/effect bookkeeping and returns the Res.
+  /// Sets \p N's type and returns the Res.
   Res finish(RExpr *N, RTypeId Type, EffectSet Eff) {
     N->setType(Type);
-    if (RawEff.size() <= N->id())
-      RawEff.resize(N->id() + 1);
-    RawEff[N->id()] = Eff;
     return {N, Type, std::move(Eff)};
+  }
+
+  /// Unions \p From into \p Into by splicing the smaller set's nodes into
+  /// the larger one: each region moves O(log n) times up a long chain.
+  static void absorb(EffectSet &Into, EffectSet &&From) {
+    if (Into.Regions.size() < From.Regions.size())
+      Into.Regions.swap(From.Regions);
+    Into.Regions.merge(From.Regions);
+    if (Into.EffectVars.size() < From.EffectVars.size())
+      Into.EffectVars.swap(From.EffectVars);
+    Into.EffectVars.merge(From.EffectVars);
   }
 
   /// Free region variables of the first \p Depth environment bindings
@@ -300,7 +306,7 @@ Res RegionInferencer::inferLetrec(const ast::LetrecExpr *E) {
   Prog.varInfo(Fun->Var).Letrec = N;
   FunDecls.push_back(std::move(Fun));
 
-  EffectSet Eff = InRes.Eff;
+  EffectSet Eff = std::move(InRes.Eff);
   Eff.Regions.insert(FunDecls.back()->ClosRegion);
   return finish(N, InRes.Type, std::move(Eff));
 }
@@ -378,8 +384,8 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RAppExpr *N = Prog.create<RAppExpr>(Fn.Node, Arg.Node);
     RegionVarId ClosR = types().regionOf(Fn.Type);
     N->addReadRegion(ClosR);
-    EffectSet Eff = Fn.Eff;
-    Eff.unionWith(Arg.Eff);
+    EffectSet Eff = std::move(Fn.Eff);
+    absorb(Eff, std::move(Arg.Eff));
     Eff.Regions.insert(ClosR);
     Eff.EffectVars.insert(types().arrowEffect(Fn.Type));
     return finish(N, ResultTy, std::move(Eff));
@@ -396,8 +402,8 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     if (!Body.Node)
       return {};
     RLetExpr *N = Prog.create<RLetExpr>(V, Init.Node, Body.Node);
-    EffectSet Eff = Init.Eff;
-    Eff.unionWith(Body.Eff);
+    EffectSet Eff = std::move(Init.Eff);
+    absorb(Eff, std::move(Body.Eff));
     return finish(N, Body.Type, std::move(Eff));
   }
   case Expr::Kind::Letrec:
@@ -417,9 +423,9 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RIfExpr *N = Prog.create<RIfExpr>(Cond.Node, Then.Node, Else.Node);
     RegionVarId CondR = types().regionOf(Cond.Type);
     N->addReadRegion(CondR);
-    EffectSet Eff = Cond.Eff;
-    Eff.unionWith(Then.Eff);
-    Eff.unionWith(Else.Eff);
+    EffectSet Eff = std::move(Cond.Eff);
+    absorb(Eff, std::move(Then.Eff));
+    absorb(Eff, std::move(Else.Eff));
     Eff.Regions.insert(CondR);
     return finish(N, Then.Type, std::move(Eff));
   }
@@ -435,8 +441,8 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RTypeId Ty = types().mkPair(First.Type, Second.Type, R);
     RPairExpr *N = Prog.create<RPairExpr>(First.Node, Second.Node);
     N->setWriteRegion(R);
-    EffectSet Eff = First.Eff;
-    Eff.unionWith(Second.Eff);
+    EffectSet Eff = std::move(First.Eff);
+    absorb(Eff, std::move(Second.Eff));
     Eff.Regions.insert(R);
     return finish(N, Ty, std::move(Eff));
   }
@@ -463,8 +469,8 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RConsExpr *N = Prog.create<RConsExpr>(Head.Node, Tail.Node);
     RegionVarId SpineR = types().regionOf(Tail.Type);
     N->setWriteRegion(SpineR);
-    EffectSet Eff = Head.Eff;
-    Eff.unionWith(Tail.Eff);
+    EffectSet Eff = std::move(Head.Eff);
+    absorb(Eff, std::move(Tail.Eff));
     Eff.Regions.insert(SpineR);
     return finish(N, Tail.Type, std::move(Eff));
   }
@@ -476,7 +482,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RUnOpExpr *N = Prog.create<RUnOpExpr>(U->op(), Operand.Node);
     RegionVarId OpR = types().regionOf(Operand.Type);
     N->addReadRegion(OpR);
-    EffectSet Eff = Operand.Eff;
+    EffectSet Eff = std::move(Operand.Eff);
     Eff.Regions.insert(OpR);
     switch (U->op()) {
     case ast::UnOpKind::Fst:
@@ -511,8 +517,8 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     N->addReadRegion(RR);
     RegionVarId ResR = types().freshRegion();
     N->setWriteRegion(ResR);
-    EffectSet Eff = Lhs.Eff;
-    Eff.unionWith(Rhs.Eff);
+    EffectSet Eff = std::move(Lhs.Eff);
+    absorb(Eff, std::move(Rhs.Eff));
     Eff.Regions.insert(LR);
     Eff.Regions.insert(RR);
     Eff.Regions.insert(ResR);
@@ -548,6 +554,6 @@ regions::inferRegions(const ast::Expr *Root, const ast::ASTContext &Ctx,
   RegionInferencer Inf(*Prog, Ctx, Typed, Diags);
   if (!Inf.run(Root))
     return nullptr;
-  finalizeRegionProgram(*Prog, Inf.RawEff, Inf.RegAppSubst);
+  finalizeRegionProgram(*Prog, Inf.RegAppSubst);
   return Prog;
 }

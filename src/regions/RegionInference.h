@@ -19,9 +19,9 @@
 ///      top level and each function body) — regions observable from a
 ///      function's type escape into the enclosing domain, exactly the
 ///      effect-observability criterion of [TT94];
-///   4. finalizes per-node analysis annotations: resolved effects,
-///      read/write regions, overall effects (§4.2), and the free-region
-///      sets used to restrict abstract region environments.
+///   4. finalizes per-node analysis annotations: canonical read/write
+///      regions, letregion-masked effects, overall effects (§4.2), and the
+///      free-region sets used to restrict abstract region environments.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -59,6 +59,45 @@ void destroyNode(RExpr *N) {
 
 } // namespace
 
+std::array<const RExpr *, 3> regions::childrenOf(const RExpr *N) {
+  switch (N->kind()) {
+  case RExpr::Kind::Lambda:
+    return {cast<RLambdaExpr>(N)->body()};
+  case RExpr::Kind::App: {
+    const auto *A = cast<RAppExpr>(N);
+    return {A->fn(), A->arg()};
+  }
+  case RExpr::Kind::Let: {
+    const auto *L = cast<RLetExpr>(N);
+    return {L->init(), L->body()};
+  }
+  case RExpr::Kind::Letrec: {
+    const auto *L = cast<RLetrecExpr>(N);
+    return {L->fnBody(), L->body()};
+  }
+  case RExpr::Kind::If: {
+    const auto *I = cast<RIfExpr>(N);
+    return {I->cond(), I->thenExpr(), I->elseExpr()};
+  }
+  case RExpr::Kind::Pair: {
+    const auto *P = cast<RPairExpr>(N);
+    return {P->first(), P->second()};
+  }
+  case RExpr::Kind::Cons: {
+    const auto *C = cast<RConsExpr>(N);
+    return {C->head(), C->tail()};
+  }
+  case RExpr::Kind::UnOp:
+    return {cast<RUnOpExpr>(N)->operand()};
+  case RExpr::Kind::BinOp: {
+    const auto *B = cast<RBinOpExpr>(N);
+    return {B->lhs(), B->rhs()};
+  }
+  default: // Int, Bool, Unit, Var, RegApp, Nil: leaves.
+    return {};
+  }
+}
+
 RegionProgram::~RegionProgram() {
   for (RExpr *N : nodes())
     destroyNode(N);

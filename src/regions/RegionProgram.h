@@ -12,6 +12,7 @@
 #include "regions/RegionExpr.h"
 #include "support/ArenaPool.h"
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,10 @@ public:
   /// the whole program, read once at program end (the result is observed),
   /// and reclaimed by program exit rather than by an explicit free.
   std::vector<RegionVarId> GlobalRegions;
+
+  /// The distinct overall-effect sets the nodes point at (a deque, so
+  /// addresses stay stable as finalization appends).
+  std::deque<RegionSet> OverallEffects;
 
   //===------------------------------------------------------------------===//
   // Variables

@@ -7,16 +7,52 @@ using namespace afl::regions;
 
 namespace {
 
+/// The regions in scope, as a region-indexed mask. A scope is left by
+/// clearing what was put in scope since its mark, so no node copies the
+/// set it inherits.
+class ScopeMask {
+public:
+  explicit ScopeMask(const RegionProgram &Prog)
+      : In(Prog.Types.numRegionVars(), 0) {
+    for (RegionVarId R : Prog.GlobalRegions)
+      enter(R);
+  }
+
+  bool contains(RegionVarId R) const { return R < In.size() && In[R]; }
+
+  /// Puts \p R in scope; false if it already was.
+  bool enter(RegionVarId R) {
+    if (contains(R))
+      return false;
+    if (R >= In.size())
+      In.resize(R + 1, 0);
+    In[R] = 1;
+    Entered.push_back(R);
+    return true;
+  }
+
+  size_t mark() const { return Entered.size(); }
+
+  /// Takes every region entered since \p Mark out of scope again.
+  void leave(size_t Mark) {
+    for (; Entered.size() > Mark; Entered.pop_back())
+      In[Entered.back()] = 0;
+  }
+
+private:
+  std::vector<char> In;
+  std::vector<RegionVarId> Entered;
+};
+
 class ProgramValidator {
 public:
-  explicit ProgramValidator(const RegionProgram &Prog) : Prog(Prog) {}
+  explicit ProgramValidator(const RegionProgram &Prog)
+      : Prog(Prog), Scope(Prog) {}
 
   std::vector<std::string> run() {
-    std::set<RegionVarId> Scope(Prog.GlobalRegions.begin(),
-                                Prog.GlobalRegions.end());
     for (RegionVarId R : Prog.GlobalRegions)
       checkCanonical(R, "global region");
-    visit(Prog.Root, Scope);
+    visit(Prog.Root);
     return std::move(Errors);
   }
 
@@ -31,121 +67,84 @@ private:
                        " is not canonical");
   }
 
-  void checkInScope(const RExpr *N, RegionVarId R,
-                    const std::set<RegionVarId> &Scope, const char *What) {
-    if (!Scope.count(R))
+  void checkInScope(const RExpr *N, RegionVarId R, const char *What) {
+    if (!Scope.contains(R))
       error(N, std::string(What) + " r" + std::to_string(R) +
                    " is not in scope");
   }
 
-  void visit(const RExpr *N, std::set<RegionVarId> Scope) {
+  void visit(const RExpr *N) {
+    size_t Mark = Scope.mark();
     for (RegionVarId R : N->boundRegions()) {
       checkCanonical(R, "letregion-bound region");
-      if (!Scope.insert(R).second)
+      if (!Scope.enter(R))
         error(N, "letregion rebinds in-scope region r" + std::to_string(R));
     }
 
     if (N->hasWriteRegion()) {
       checkCanonical(N->writeRegion(), "write region");
-      checkInScope(N, N->writeRegion(), Scope, "write region");
+      checkInScope(N, N->writeRegion(), "write region");
       if (!N->effect().count(N->writeRegion()))
         error(N, "write region missing from node effect");
     }
     for (RegionVarId R : N->readRegions()) {
       checkCanonical(R, "read region");
-      checkInScope(N, R, Scope, "read region");
+      checkInScope(N, R, "read region");
       if (!N->effect().count(R))
         error(N, "read region missing from node effect");
     }
     for (RegionVarId R : N->overallEffect())
-      checkInScope(N, R, Scope, "overall-effect region");
+      checkInScope(N, R, "overall-effect region");
 
-    switch (N->kind()) {
-    case RExpr::Kind::Int:
-    case RExpr::Kind::Bool:
-    case RExpr::Kind::Unit:
-    case RExpr::Kind::Var:
-    case RExpr::Kind::Nil:
-      return;
-    case RExpr::Kind::Lambda:
-      visit(cast<RLambdaExpr>(N)->body(), Scope);
-      return;
-    case RExpr::Kind::App:
-      visit(cast<RAppExpr>(N)->fn(), Scope);
-      visit(cast<RAppExpr>(N)->arg(), Scope);
-      return;
-    case RExpr::Kind::Let:
-      visit(cast<RLetExpr>(N)->init(), Scope);
-      visit(cast<RLetExpr>(N)->body(), Scope);
-      return;
-    case RExpr::Kind::Letrec: {
-      const auto *L = cast<RLetrecExpr>(N);
+    if (const auto *RA = dyn_cast<RRegAppExpr>(N)) {
+      const RLetrecExpr *Callee = Prog.varInfo(RA->fn()).Letrec;
+      if (!Callee) {
+        error(N, "region application of a non-letrec variable");
+      } else {
+        if (Callee->formals().size() != RA->actuals().size())
+          error(N, "region arity mismatch");
+        for (RegionVarId R : RA->actuals()) {
+          checkCanonical(R, "region-application actual");
+          checkInScope(N, R, "region-application actual");
+        }
+      }
+    }
+    if (const auto *L = dyn_cast<RLetrecExpr>(N)) {
       std::set<RegionVarId> Formals;
-      std::set<RegionVarId> BodyScope = Scope;
       for (RegionVarId F : L->formals()) {
         checkCanonical(F, "letrec formal");
         if (!Formals.insert(F).second)
           error(N, "duplicate letrec formal r" + std::to_string(F));
-        if (Scope.count(F))
+        if (Scope.contains(F))
           error(N, "letrec formal r" + std::to_string(F) +
                        " shadows an in-scope region");
-        BodyScope.insert(F);
       }
-      visit(L->fnBody(), BodyScope);
-      visit(L->body(), Scope);
-      return;
+      size_t BodyMark = Scope.mark();
+      for (RegionVarId F : Formals)
+        Scope.enter(F);
+      visit(L->fnBody());
+      Scope.leave(BodyMark);
+      visit(L->body());
+    } else {
+      for (const RExpr *C : childrenOf(N))
+        if (C)
+          visit(C);
     }
-    case RExpr::Kind::RegApp: {
-      const auto *RA = cast<RRegAppExpr>(N);
-      const RLetrecExpr *Callee = Prog.varInfo(RA->fn()).Letrec;
-      if (!Callee) {
-        error(N, "region application of a non-letrec variable");
-        return;
-      }
-      if (Callee->formals().size() != RA->actuals().size())
-        error(N, "region arity mismatch");
-      for (RegionVarId R : RA->actuals()) {
-        checkCanonical(R, "region-application actual");
-        checkInScope(N, R, Scope, "region-application actual");
-      }
-      return;
-    }
-    case RExpr::Kind::If:
-      visit(cast<RIfExpr>(N)->cond(), Scope);
-      visit(cast<RIfExpr>(N)->thenExpr(), Scope);
-      visit(cast<RIfExpr>(N)->elseExpr(), Scope);
-      return;
-    case RExpr::Kind::Pair:
-      visit(cast<RPairExpr>(N)->first(), Scope);
-      visit(cast<RPairExpr>(N)->second(), Scope);
-      return;
-    case RExpr::Kind::Cons:
-      visit(cast<RConsExpr>(N)->head(), Scope);
-      visit(cast<RConsExpr>(N)->tail(), Scope);
-      return;
-    case RExpr::Kind::UnOp:
-      visit(cast<RUnOpExpr>(N)->operand(), Scope);
-      return;
-    case RExpr::Kind::BinOp:
-      visit(cast<RBinOpExpr>(N)->lhs(), Scope);
-      visit(cast<RBinOpExpr>(N)->rhs(), Scope);
-      return;
-    }
+    Scope.leave(Mark);
   }
 
   const RegionProgram &Prog;
+  ScopeMask Scope;
   std::vector<std::string> Errors;
 };
 
 class CompletionValidator {
 public:
   CompletionValidator(const RegionProgram &Prog, const Completion &C)
-      : Prog(Prog), C(C) {}
+      : Prog(Prog), C(C), Scope(Prog) {}
 
   std::vector<std::string> run() {
-    std::set<RegionVarId> Scope(Prog.GlobalRegions.begin(),
-                                Prog.GlobalRegions.end());
-    visit(Prog.Root, Scope);
+    visit(Prog.Root);
     // Every op must be anchored at a node we visited.
     for (const auto &[Node, Ops] : C.Pre)
       checkAnchored(Node, Ops);
@@ -170,12 +169,11 @@ private:
                        std::to_string(Node));
   }
 
-  void checkOps(const RExpr *N, const std::vector<COp> *Ops,
-                const std::set<RegionVarId> &Scope) {
+  void checkOps(const RExpr *N, const std::vector<COp> *Ops) {
     if (!Ops)
       return;
     for (const COp &Op : *Ops) {
-      if (!Scope.count(Op.Region))
+      if (!Scope.contains(Op.Region))
         Errors.push_back("node " + std::to_string(N->id()) + ": " +
                          spelling(Op.Kind) + " on out-of-scope region r" +
                          std::to_string(Op.Region));
@@ -187,62 +185,32 @@ private:
     }
   }
 
-  void visit(const RExpr *N, std::set<RegionVarId> Scope) {
+  void visit(const RExpr *N) {
     Visited.insert(N->id());
+    size_t Mark = Scope.mark();
     for (RegionVarId R : N->boundRegions())
-      Scope.insert(R);
-    checkOps(N, C.preOps(N->id()), Scope);
-    checkOps(N, C.postOps(N->id()), Scope);
-    checkOps(N, C.freeAppOps(N->id()), Scope);
-
-    switch (N->kind()) {
-    case RExpr::Kind::Lambda:
-      visit(cast<RLambdaExpr>(N)->body(), Scope);
-      break;
-    case RExpr::Kind::App:
-      visit(cast<RAppExpr>(N)->fn(), Scope);
-      visit(cast<RAppExpr>(N)->arg(), Scope);
-      break;
-    case RExpr::Kind::Let:
-      visit(cast<RLetExpr>(N)->init(), Scope);
-      visit(cast<RLetExpr>(N)->body(), Scope);
-      break;
-    case RExpr::Kind::Letrec: {
-      const auto *L = cast<RLetrecExpr>(N);
-      std::set<RegionVarId> BodyScope = Scope;
+      Scope.enter(R);
+    checkOps(N, C.preOps(N->id()));
+    checkOps(N, C.postOps(N->id()));
+    checkOps(N, C.freeAppOps(N->id()));
+    if (const auto *L = dyn_cast<RLetrecExpr>(N)) {
+      size_t BodyMark = Scope.mark();
       for (RegionVarId F : L->formals())
-        BodyScope.insert(F);
-      visit(L->fnBody(), BodyScope);
-      visit(L->body(), Scope);
-      break;
+        Scope.enter(F);
+      visit(L->fnBody());
+      Scope.leave(BodyMark);
+      visit(L->body());
+    } else {
+      for (const RExpr *Child : childrenOf(N))
+        if (Child)
+          visit(Child);
     }
-    case RExpr::Kind::If:
-      visit(cast<RIfExpr>(N)->cond(), Scope);
-      visit(cast<RIfExpr>(N)->thenExpr(), Scope);
-      visit(cast<RIfExpr>(N)->elseExpr(), Scope);
-      break;
-    case RExpr::Kind::Pair:
-      visit(cast<RPairExpr>(N)->first(), Scope);
-      visit(cast<RPairExpr>(N)->second(), Scope);
-      break;
-    case RExpr::Kind::Cons:
-      visit(cast<RConsExpr>(N)->head(), Scope);
-      visit(cast<RConsExpr>(N)->tail(), Scope);
-      break;
-    case RExpr::Kind::UnOp:
-      visit(cast<RUnOpExpr>(N)->operand(), Scope);
-      break;
-    case RExpr::Kind::BinOp:
-      visit(cast<RBinOpExpr>(N)->lhs(), Scope);
-      visit(cast<RBinOpExpr>(N)->rhs(), Scope);
-      break;
-    default:
-      break;
-    }
+    Scope.leave(Mark);
   }
 
   const RegionProgram &Prog;
   const Completion &C;
+  ScopeMask Scope;
   std::set<RNodeId> Visited;
   std::vector<std::string> Errors;
 };

@@ -1,7 +1,5 @@
 #include "support/ArenaPool.h"
 
-#include <atomic>
-
 using namespace afl;
 
 size_t ArenaPool::sizeClass(size_t Bytes) {
@@ -65,19 +63,4 @@ ArenaPool &ArenaPool::global() {
   // the pool must outlive every tenant.
   static ArenaPool *P = new ArenaPool();
   return *P;
-}
-
-namespace {
-
-std::atomic<bool> &globalEnabledFlag() {
-  static std::atomic<bool> Enabled{true};
-  return Enabled;
-}
-
-} // namespace
-
-bool ArenaPool::globalEnabled() { return globalEnabledFlag().load(); }
-
-void ArenaPool::setGlobalEnabled(bool Enabled) {
-  globalEnabledFlag().store(Enabled);
 }

@@ -10,8 +10,6 @@
 /// the VM's region buffer pool) so a new tenant checks out the memory of a
 /// previous one instead of mapping fresh pages.
 ///
-/// Pooling is on by default; setGlobalEnabled(false) turns it off for the
-/// process (tests compare both settings).
 /// The global pool retains at most 32 arenas.
 ///
 //===----------------------------------------------------------------------===//
@@ -66,9 +64,9 @@ public:
   /// The process-wide pool leased by PooledArena.
   static ArenaPool &global();
 
-  /// Whether PooledArena uses the global pool (default: on).
-  static bool globalEnabled();
-  static void setGlobalEnabled(bool Enabled);
+  /// Always true: PooledArena always leases from the global pool. Kept
+  /// only because perfbench's info line prints it.
+  static constexpr bool globalEnabled() { return true; }
 
 private:
   // Size classes keyed by floor(log2(bytesReserved)), clamped into
@@ -87,14 +85,12 @@ private:
 };
 
 /// RAII lease of an arena from the global pool. Construction checks one
-/// out (or builds a private arena when pooling is disabled); destruction
-/// returns it. Movable so arena-owning containers (RegionProgram) keep
-/// their move semantics.
+/// out; destruction returns it. Movable so arena-owning containers
+/// (RegionProgram) keep their move semantics; a moved-from lease returns
+/// nothing.
 class PooledArena {
 public:
-  PooledArena()
-      : Lease(ArenaPool::globalEnabled()),
-        A(Lease ? ArenaPool::global().acquire() : Arena()) {}
+  PooledArena() : A(ArenaPool::global().acquire()) {}
 
   PooledArena(PooledArena &&Other) noexcept
       : Lease(Other.Lease), A(std::move(Other.A)) {
@@ -129,7 +125,7 @@ private:
     Lease = false;
   }
 
-  bool Lease;
+  bool Lease = true;
   Arena A;
 };
 

@@ -59,7 +59,7 @@ TEST(RegEnvTable, ExtendFreshPicksMinimalColor) {
 TEST(RegEnvTable, RestrictKeepsSubset) {
   RegEnvTable T;
   RegEnvId E = T.intern({{1, 0}, {2, 1}, {3, 2}});
-  RegEnvId R = T.restrict(E, {1, 3});
+  RegEnvId R = T.restrict(E, FlatSet<RegionVarId>::fromSorted({1, 3}));
   EXPECT_EQ(T.get(R).size(), 2u);
   EXPECT_TRUE(T.maps(R, 1));
   EXPECT_FALSE(T.maps(R, 2));

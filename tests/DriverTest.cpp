@@ -5,7 +5,6 @@
 #include "interp/RefInterp.h"
 #include "programs/Corpus.h"
 #include "programs/RandomProgram.h"
-#include "support/ArenaPool.h"
 
 #include <gtest/gtest.h>
 
@@ -168,34 +167,6 @@ TEST(Driver, RecordMetricsEmitsSchema) {
   EXPECT_NE(Table.find("region inference"), std::string::npos);
   EXPECT_NE(Table.find("solve"), std::string::npos);
   EXPECT_NE(Table.find("propagations"), std::string::npos);
-}
-
-TEST(Driver, ArenaPoolingDoesNotChangeOutput) {
-  // The pool only recycles memory: with it off, every program prints the
-  // same completions and its runs give the same result and counters.
-  bool WasEnabled = ArenaPool::globalEnabled();
-  for (const programs::BenchProgram &P : programs::smallCorpus()) {
-    SCOPED_TRACE(P.Name);
-    ArenaPool::setGlobalEnabled(true);
-    driver::PipelineResult Pooled = driver::runPipeline(P.Source);
-    ArenaPool::setGlobalEnabled(false);
-    driver::PipelineResult Private = driver::runPipeline(P.Source);
-    ASSERT_TRUE(Pooled.ok()) << Pooled.Diags.str();
-    ASSERT_TRUE(Private.ok()) << Private.Diags.str();
-    EXPECT_EQ(Pooled.printAfl(), Private.printAfl());
-    EXPECT_EQ(Pooled.printConservative(), Private.printConservative());
-    for (const auto &[A, B] : {std::pair(&Pooled.Afl, &Private.Afl),
-                               std::pair(&Pooled.Conservative,
-                                         &Private.Conservative)}) {
-      EXPECT_EQ(A->ResultText, B->ResultText);
-      EXPECT_EQ(A->S.MaxRegions, B->S.MaxRegions);
-      EXPECT_EQ(A->S.TotalRegionAllocs, B->S.TotalRegionAllocs);
-      EXPECT_EQ(A->S.TotalValueAllocs, B->S.TotalValueAllocs);
-      EXPECT_EQ(A->S.MaxValues, B->S.MaxValues);
-      EXPECT_EQ(A->S.FinalValues, B->S.FinalValues);
-    }
-  }
-  ArenaPool::setGlobalEnabled(WasEnabled);
 }
 
 TEST(Driver, AblationsNeverWorseThanLexical) {

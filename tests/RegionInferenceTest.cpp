@@ -10,7 +10,10 @@
 #include "regions/Validator.h"
 #include "types/TypeInference.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <set>
 
 using namespace afl;
 using namespace afl::regions;
@@ -224,6 +227,123 @@ TEST(RegionInference, OverallEffectCoversAccesses) {
       for (RegionVarId R : N->readRegions())
         EXPECT_TRUE(N->overallEffect().count(R));
     }
+  }
+}
+
+/// The children of \p N in its placement domain: everything except lambda
+/// bodies and letrec fnBodies, which start domains of their own.
+std::vector<const RExpr *> domainChildren(const RExpr *N) {
+  switch (N->kind()) {
+  case RExpr::Kind::App:
+    return {cast<RAppExpr>(N)->fn(), cast<RAppExpr>(N)->arg()};
+  case RExpr::Kind::Let:
+    return {cast<RLetExpr>(N)->init(), cast<RLetExpr>(N)->body()};
+  case RExpr::Kind::Letrec:
+    return {cast<RLetrecExpr>(N)->body()};
+  case RExpr::Kind::If:
+    return {cast<RIfExpr>(N)->cond(), cast<RIfExpr>(N)->thenExpr(),
+            cast<RIfExpr>(N)->elseExpr()};
+  case RExpr::Kind::Pair:
+    return {cast<RPairExpr>(N)->first(), cast<RPairExpr>(N)->second()};
+  case RExpr::Kind::Cons:
+    return {cast<RConsExpr>(N)->head(), cast<RConsExpr>(N)->tail()};
+  case RExpr::Kind::UnOp:
+    return {cast<RUnOpExpr>(N)->operand()};
+  case RExpr::Kind::BinOp:
+    return {cast<RBinOpExpr>(N)->lhs(), cast<RBinOpExpr>(N)->rhs()};
+  default:
+    return {};
+  }
+}
+
+std::set<RegionVarId> latentRegions(const RegionProgram &P, RTypeId Arrow) {
+  EffectSet Probe;
+  Probe.EffectVars.insert(P.Types.arrowEffect(Arrow));
+  return P.Types.regionsOf(Probe);
+}
+
+/// The regions \p N's own step accesses: its write and read regions and,
+/// at an application, the latent regions of the function's arrow.
+std::set<RegionVarId> selfRegions(const RegionProgram &P, const RExpr *N) {
+  std::set<RegionVarId> Out(N->readRegions().begin(), N->readRegions().end());
+  if (N->hasWriteRegion())
+    Out.insert(N->writeRegion());
+  if (const auto *A = dyn_cast<RAppExpr>(N)) {
+    std::set<RegionVarId> Latent = latentRegions(P, A->fn()->type());
+    Out.insert(Latent.begin(), Latent.end());
+  }
+  return Out;
+}
+
+/// Checks every node's effect() and overallEffect() against their
+/// definitions, computed by brute force per node:
+///   effect(N): the union of self(M) over N's in-domain subtree, minus the
+///     regions bound strictly below N;
+///   overallEffect(N): the domain's ambient set (the globals at top level,
+///     the latent regions of the lambda's or letrec's arrow in a body)
+///     plus the binders on the in-domain path to N, N included.
+void expectEffectsMatchReference(const RegionProgram &P) {
+  std::vector<std::pair<const RExpr *, std::set<RegionVarId>>> Work{
+      {P.Root, {P.GlobalRegions.begin(), P.GlobalRegions.end()}}};
+  while (!Work.empty()) {
+    auto [N, Above] = std::move(Work.back());
+    Work.pop_back();
+    std::set<RegionVarId> Overall = Above;
+    Overall.insert(N->boundRegions().begin(), N->boundRegions().end());
+    EXPECT_EQ(std::vector<RegionVarId>(Overall.begin(), Overall.end()),
+              N->overallEffect().raw())
+        << "overall effect of node " << N->id();
+
+    std::set<RegionVarId> Accessed, BoundBelow;
+    std::vector<const RExpr *> Subtree{N};
+    while (!Subtree.empty()) {
+      const RExpr *M = Subtree.back();
+      Subtree.pop_back();
+      std::set<RegionVarId> Self = selfRegions(P, M);
+      Accessed.insert(Self.begin(), Self.end());
+      if (M != N)
+        BoundBelow.insert(M->boundRegions().begin(), M->boundRegions().end());
+      for (const RExpr *C : domainChildren(M))
+        Subtree.push_back(C);
+    }
+    std::vector<RegionVarId> Effect;
+    std::set_difference(Accessed.begin(), Accessed.end(), BoundBelow.begin(),
+                        BoundBelow.end(), std::back_inserter(Effect));
+    EXPECT_EQ(Effect, N->effect().raw()) << "effect of node " << N->id();
+
+    for (const RExpr *C : domainChildren(N))
+      Work.push_back({C, Overall});
+    if (const auto *L = dyn_cast<RLambdaExpr>(N))
+      Work.push_back({L->body(), latentRegions(P, N->type())});
+    if (const auto *L = dyn_cast<RLetrecExpr>(N))
+      Work.push_back(
+          {L->fnBody(), latentRegions(P, P.varInfo(L->fn()).Type)});
+  }
+}
+
+TEST(RegionInference, EffectsMatchReference) {
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const programs::BenchProgram &BP : programs::smallCorpus())
+    Programs.push_back({BP.Name, BP.Source});
+  Programs.push_back({"example11", programs::example11Source()});
+  Programs.push_back({"example21", programs::example21Source()});
+  Programs.push_back({"perm(4,3)", programs::permSource(4, 3)});
+  programs::RandomProgramOptions Default, Escape, Hof;
+  Escape.ClosureEscape = true;
+  Hof.NestedHof = true;
+  for (const auto &[Name, Options] :
+       {std::pair("default", Default), std::pair("escape", Escape),
+        std::pair("nested-hof", Hof)})
+    for (unsigned Seed = 0; Seed != 300; ++Seed)
+      Programs.push_back({std::string(Name) + " seed " + std::to_string(Seed),
+                          programs::generateRandomProgram(Seed, Options)});
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    auto P = infer(Source);
+    ASSERT_NE(P, nullptr);
+    expectEffectsMatchReference(*P);
+    if (::testing::Test::HasFailure())
+      return;
   }
 }
 

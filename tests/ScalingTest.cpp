@@ -91,6 +91,39 @@ TEST(Scaling, StraightLineCountExponentsWithinBound) {
   }
 }
 
+TEST(Scaling, StraightLineMaskedEffectExponentWithinBound) {
+  // The n -> 2n growth exponent of the summed letregion-masked effect
+  // sizes, sum over nodes of |effect()|. A region sits only in the effects
+  // on the path from its uses up to its binder, so the sum grows linearly
+  // (about 1.0); an effect that kept the regions bound below a node would
+  // grow quadratically (about 1.95).
+  constexpr double Bound = 1.2;
+  struct Family {
+    const char *Name;
+    std::string (*Source)(int);
+    int N;
+  };
+  auto EffectEntries = [](const std::string &Source) {
+    DiagnosticEngine Diags;
+    driver::FrontEnd FE = driver::runFrontEnd(Source, Diags);
+    EXPECT_NE(FE.Prog, nullptr) << Diags.str();
+    size_t Sum = 0;
+    if (FE.Prog)
+      for (const regions::RExpr *N : FE.Prog->nodes())
+        Sum += N->effect().size();
+    return Sum;
+  };
+  for (const Family &F : {Family{"let-chain", letChainProgram, 60},
+                          Family{"sum", sumProgram, 100}}) {
+    size_t Small = EffectEntries(F.Source(F.N));
+    size_t Big = EffectEntries(F.Source(2 * F.N));
+    ASSERT_GT(Small, 0u) << F.Name;
+    EXPECT_LE(std::log2(static_cast<double>(Big) / static_cast<double>(Small)),
+              Bound)
+        << F.Name << ": " << Small << " -> " << Big << " effect entries";
+  }
+}
+
 TEST(Scaling, SixtyFourFunctionsAnalyzeQuickly) {
   auto Start = std::chrono::steady_clock::now();
   driver::PipelineOptions Options;

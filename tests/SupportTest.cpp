@@ -191,8 +191,6 @@ TEST(ArenaPool, ConcurrentCheckoutUnderThreadPool) {
 }
 
 TEST(PooledArena, ReturnsToGlobalPoolOnDestruction) {
-  bool WasEnabled = ArenaPool::globalEnabled();
-  ArenaPool::setGlobalEnabled(true);
   ArenaPool::Stats Before = ArenaPool::global().stats();
   {
     PooledArena A;
@@ -200,31 +198,9 @@ TEST(PooledArena, ReturnsToGlobalPoolOnDestruction) {
     EXPECT_EQ(ArenaPool::global().stats().Checkouts, Before.Checkouts + 1);
   }
   EXPECT_EQ(ArenaPool::global().stats().Returns, Before.Returns + 1);
-  ArenaPool::setGlobalEnabled(WasEnabled);
-}
-
-TEST(PooledArena, DisabledModeUsesPrivateArena) {
-  bool WasEnabled = ArenaPool::globalEnabled();
-  ArenaPool::setGlobalEnabled(false);
-  ArenaPool::Stats Before = ArenaPool::global().stats();
-  {
-    PooledArena A;
-    struct Point {
-      int X, Y;
-    };
-    Point *P = A.create<Point>();
-    P->X = 3;
-    EXPECT_EQ(P->X, 3);
-  }
-  ArenaPool::Stats After = ArenaPool::global().stats();
-  EXPECT_EQ(After.Checkouts, Before.Checkouts);
-  EXPECT_EQ(After.Returns, Before.Returns);
-  ArenaPool::setGlobalEnabled(WasEnabled);
 }
 
 TEST(PooledArena, MoveDoesNotDoubleReturn) {
-  bool WasEnabled = ArenaPool::globalEnabled();
-  ArenaPool::setGlobalEnabled(true);
   ArenaPool::Stats Before = ArenaPool::global().stats();
   {
     PooledArena A;
@@ -235,7 +211,6 @@ TEST(PooledArena, MoveDoesNotDoubleReturn) {
   } // exactly one lease is live; exactly one return
   EXPECT_EQ(ArenaPool::global().stats().Returns, Before.Returns + 2)
       << "one return for the moved lease, one for C's displaced lease";
-  ArenaPool::setGlobalEnabled(WasEnabled);
 }
 
 TEST(StringInterner, InternsAndDeduplicates) {

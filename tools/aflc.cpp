@@ -83,7 +83,7 @@ namespace {
 
 /// Schema version of the --metrics JSON (docs/OBSERVABILITY.md): bumped
 /// whenever a key disappears or changes meaning.
-constexpr int MetricsVersion = 2;
+constexpr int MetricsVersion = 3;
 
 void usage() {
   std::fprintf(
