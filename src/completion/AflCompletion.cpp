@@ -49,7 +49,9 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
                                      AflStats *Stats,
                                      const constraints::GenOptions &Options,
                                      const solver::SolveOptions &Solve,
-                                     const closure::ClosureOptions &ClosureOpts) {
+                                     const closure::ClosureOptions &ClosureOpts,
+                                     solver::ShardSolutionCache *Cache,
+                                     solver::SolveResult *Solution) {
   Stopwatch Watch;
   closure::ClosureAnalysis CA(Prog, ClosureOpts);
   bool Converged = CA.run();
@@ -65,6 +67,8 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
       Stats->NumClosures = CA.numClosures();
       Stats->Solved = false;
     }
+    if (Solution)
+      *Solution = solver::SolveResult();
     return conservativeCompletion(Prog);
   }
 
@@ -72,7 +76,7 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
   constraints::GenResult Gen =
       constraints::generateConstraints(Prog, CA, Options);
   double GenSeconds = Watch.seconds();
-  solver::SolveResult Sol = solver::solve(Gen.Sys, Solve);
+  solver::SolveResult Sol = solver::solve(Gen.Sys, Solve, Cache);
   Watch.reset();
 
   if (Stats) {
@@ -96,11 +100,11 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
     Stats->Solved = Sol.Sat;
   }
 
-  if (!Sol.Sat)
-    return conservativeCompletion(Prog);
-
-  Completion Out = extractCompletion(Gen, Sol);
-  if (Stats)
+  Completion Out = Sol.Sat ? extractCompletion(Gen, Sol)
+                           : conservativeCompletion(Prog);
+  if (Stats && Sol.Sat)
     Stats->ExtractSeconds = Watch.seconds();
+  if (Solution)
+    *Solution = std::move(Sol);
   return Out;
 }

@@ -56,28 +56,33 @@ struct AflStats {
   bool Solved = false;
 };
 
+/// Extracts the completion operations chosen by a satisfiable solution:
+/// every true choice boolean becomes an op at its node, sorted in
+/// ascending region order per point (the sequentialization order used by
+/// constraint generation).
+regions::Completion extractCompletion(const constraints::GenResult &Gen,
+                                      const solver::SolveResult &Sol);
+
 /// Computes the A-F-L completion for \p Prog. On solver failure — or if
 /// the closure analysis fails to stabilize within its configured caps —
 /// returns the conservative completion (and reports Solved = false).
 /// \p Options selects ablated variants (see constraints::GenOptions);
 /// \p Solve configures the solver's preprocessing layer (see
 /// solver::SolveOptions); \p ClosureOpts selects the closure fixpoint
-/// mode and caps (see closure::ClosureOptions).
-/// Extracts the completion operations chosen by a satisfiable solution:
-/// every true choice boolean becomes an op at its node, sorted in
-/// ascending region order per point (the sequentialization order used by
-/// constraint generation). Exposed for callers that drive the pipeline
-/// stages themselves (the analysis server); aflCompletion uses it too.
-regions::Completion extractCompletion(const constraints::GenResult &Gen,
-                                      const solver::SolveResult &Sol);
-
+/// mode and caps (see closure::ClosureOptions). \p Cache, when given,
+/// memoizes shard solutions across calls (the analysis server keeps one
+/// per document); \p Solution, when given, receives the solver's result
+/// — a default (unsatisfiable, empty) one when the closure analysis did
+/// not converge.
 regions::Completion
 aflCompletion(const regions::RegionProgram &Prog, AflStats *Stats = nullptr,
               const constraints::GenOptions &Options =
                   constraints::GenOptions(),
               const solver::SolveOptions &Solve = solver::SolveOptions(),
               const closure::ClosureOptions &ClosureOpts =
-                  closure::ClosureOptions());
+                  closure::ClosureOptions(),
+              solver::ShardSolutionCache *Cache = nullptr,
+              solver::SolveResult *Solution = nullptr);
 
 } // namespace completion
 } // namespace afl

@@ -22,9 +22,10 @@
 /// components of the constraint graph are already known. `numShards()` /
 /// `shardConstraints()` / `shardStates()` / `shardBools()` expose them as
 /// CSR-backed shards with deterministic numbering (ascending smallest
-/// member state variable — the same order `solver::splitComponents`
-/// assigns). The production solver simplifies and solves shard by shard
-/// and never runs a component-discovery pass of its own.
+/// member state variable — the order a from-scratch component split
+/// assigns, tests/SimplifyTest.cpp). The production solver simplifies
+/// and solves shard by shard and never runs a component-discovery pass
+/// of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,7 +157,7 @@ public:
 
   /// Number of connected components ("shards") of the constraint graph.
   /// Shards are numbered by their smallest state variable, ascending —
-  /// the numbering `solver::splitComponents` would assign. Variables that
+  /// the numbering a from-scratch component split assigns. Variables that
   /// occur in no constraint belong to no shard.
   size_t numShards() const {
     ensureShards();

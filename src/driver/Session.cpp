@@ -1,8 +1,6 @@
 #include "driver/Session.h"
 
 #include "completion/AflCompletion.h"
-#include "completion/Conservative.h"
-#include "constraints/ConstraintGen.h"
 #include "interp/Interp.h"
 #include "support/ArenaPool.h"
 #include "support/Metrics.h"
@@ -174,48 +172,25 @@ bool sameModuloLiterals(const regions::RegionProgram &Old,
 } // namespace
 
 Session::AnalysisInfo Session::analyze(Document &Doc, StageTimings &T) {
-  AnalysisInfo Info;
   T.AnalysisRan = true;
   ++Stats.FullAnalyses;
-  Stopwatch Watch;
-
-  closure::ClosureAnalysis CA(*Doc.Prog);
-  bool Converged = CA.run();
-  T.Closure = Watch.seconds();
-  Info.ProcessedContexts = CA.stats().ProcessedContexts;
-  Stats.DirtiedContexts += Info.ProcessedContexts;
-  Doc.Sizes = AnalysisSizes();
-  Doc.Sizes.Converged = Converged;
-  Doc.Sizes.Contexts = CA.numContexts();
-  Doc.Sizes.Closures = CA.numClosures();
-
   uint64_t Hits0 = Doc.Cache.Hits;
   uint64_t Misses0 = Doc.Cache.Misses;
-  if (!Converged) {
-    // Mirror aflCompletion: unconverged tables are unsound, fall back to
-    // the conservative completion (should not happen in practice).
-    Doc.Sol = solver::SolveResult();
-    Doc.AflC = completion::conservativeCompletion(*Doc.Prog);
-  } else {
-    Watch.reset();
-    constraints::GenResult Gen =
-        constraints::generateConstraints(*Doc.Prog, CA);
-    T.ConstraintGen = Watch.seconds();
-    Doc.Sizes.StateVars = Gen.Sys.numStateVars();
-    Doc.Sizes.BoolVars = Gen.Sys.numBoolVars();
-    Doc.Sizes.Constraints = Gen.Sys.numConstraints();
-    Doc.Sizes.Shards = Gen.Sys.numShards();
-    Doc.Sol = solver::solveCached(Gen.Sys, solver::SolveOptions(), Doc.Cache);
-    T.Solve = Doc.Sol.Seconds;
-    Watch.reset();
-    Doc.AflC = Doc.Sol.Sat ? completion::extractCompletion(Gen, Doc.Sol)
-                           : completion::conservativeCompletion(*Doc.Prog);
-    T.Extract = Watch.seconds();
-  }
+  Doc.Analysis = completion::AflStats();
+  Doc.AflC = completion::aflCompletion(
+      *Doc.Prog, &Doc.Analysis, constraints::GenOptions(),
+      solver::SolveOptions(), closure::ClosureOptions(), &Doc.Cache, &Doc.Sol);
   Doc.Report = completion::reportCompletion(*Doc.Prog, Doc.AflC);
+  T.Closure = Doc.Analysis.ClosureSeconds;
+  T.ConstraintGen = Doc.Analysis.ConstraintGenSeconds;
+  T.Solve = Doc.Analysis.SolveSeconds;
+  T.Extract = Doc.Analysis.ExtractSeconds;
 
+  AnalysisInfo Info;
+  Info.ProcessedContexts = Doc.Analysis.Closure.ProcessedContexts;
   Info.ShardsSolved = Doc.Cache.Misses - Misses0;
   Info.ShardsReused = Doc.Cache.Hits - Hits0;
+  Stats.DirtiedContexts += Info.ProcessedContexts;
   Stats.ShardsSolved += Info.ShardsSolved;
   Stats.ShardsReused += Info.ShardsReused;
   return Info;
@@ -274,16 +249,16 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
 
 std::string Session::analysisBody(const Document &Doc,
                                   const AnalysisInfo &Info) const {
-  const AnalysisSizes &Z = Doc.Sizes;
+  const completion::AflStats &A = Doc.Analysis;
   std::string O = "{";
-  O += "\"converged\":" + std::string(Z.Converged ? "true" : "false");
+  O += "\"converged\":" + std::string(A.Closure.Converged ? "true" : "false");
   O += ",\"sat\":" + std::string(Doc.Sol.Sat ? "true" : "false");
-  O += ",\"contexts\":" + std::to_string(Z.Contexts);
-  O += ",\"closures\":" + std::to_string(Z.Closures);
-  O += ",\"state_vars\":" + std::to_string(Z.StateVars);
-  O += ",\"bool_vars\":" + std::to_string(Z.BoolVars);
-  O += ",\"constraints\":" + std::to_string(Z.Constraints);
-  O += ",\"shards\":" + std::to_string(Z.Shards);
+  O += ",\"contexts\":" + std::to_string(A.Closure.NumContexts);
+  O += ",\"closures\":" + std::to_string(A.NumClosures);
+  O += ",\"state_vars\":" + std::to_string(A.NumStateVars);
+  O += ",\"bool_vars\":" + std::to_string(A.NumBoolVars);
+  O += ",\"constraints\":" + std::to_string(A.NumConstraints);
+  O += ",\"shards\":" + std::to_string(A.Sharding.Shards);
   O += ",\"processed_contexts\":" + std::to_string(Info.ProcessedContexts);
   O += ",\"dirtied_contexts\":" + std::to_string(Info.ProcessedContexts);
   O += ",\"shards_solved\":" + std::to_string(Info.ShardsSolved);
@@ -341,7 +316,7 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
     // Node ids, types and regions are unchanged, so the completion, its
     // report and the solver domains still describe the new program.
     Info.Tier = "reuse";
-    Info.ShardsReused = Doc->Sizes.Shards;
+    Info.ShardsReused = Doc->Analysis.Sharding.Shards;
     ++Stats.ReusedAnalyses;
     Stats.ShardsReused += Info.ShardsReused;
   } else {

@@ -15,16 +15,19 @@
 ///
 ///   * an edit that changes only Int/Bool literal payloads keeps the
 ///     previous analysis outright ("reuse" tier — zero contexts dirtied);
-///   * everything else re-runs closure analysis, constraint generation
-///     and the solve ("full" tier).
+///   * everything else re-runs the A-F-L back half — closure analysis,
+///     constraint generation, the solve and extraction — by calling
+///     completion::aflCompletion, the one-shot pipeline's own driver
+///     ("full" tier).
 ///
-/// Both tiers share a per-document shard solution cache
-/// (solver::ShardSolutionCache), so constraint shards untouched by an
-/// edit replay their solved domains without re-entering the solver.
-/// Both tiers produce byte-identical reports and solver domains to a
-/// from-scratch run — tests/ServerTest.cpp proves it differentially, and
-/// the socket transport's multi-client harness proves each connection's
-/// responses are byte-identical to a fresh single-session replay.
+/// A full-tier analysis passes aflCompletion the document's shard
+/// solution cache (solver::ShardSolutionCache), a memo in front of the
+/// solver, so constraint shards untouched by an edit replay their solved
+/// domains without re-entering the solver. Both tiers produce
+/// byte-identical reports and solver domains to a from-scratch run —
+/// tests/ServerTest.cpp proves it differentially, and the socket
+/// transport's multi-client harness proves each connection's responses
+/// are byte-identical to a fresh single-session replay.
 ///
 /// Thread-safety: a Session is confined to one connection (or stdin) and
 /// is not itself thread-safe; concurrency comes from running many
@@ -40,6 +43,7 @@
 #ifndef AFL_DRIVER_SESSION_H
 #define AFL_DRIVER_SESSION_H
 
+#include "completion/AflCompletion.h"
 #include "completion/Report.h"
 #include "driver/Pipeline.h"
 #include "solver/Solver.h"
@@ -176,28 +180,17 @@ public:
   bool shutdownRequested() const { return Shutdown; }
 
 private:
-  /// The sizes of one analysis that open/edit responses print.
-  struct AnalysisSizes {
-    bool Converged = false;
-    size_t Contexts = 0;
-    size_t Closures = 0;
-    size_t StateVars = 0;
-    size_t BoolVars = 0;
-    size_t Constraints = 0;
-    size_t Shards = 0;
-  };
-
   /// An open document: its text, its front-end result, and what the
-  /// analysis left behind that a later request reads — the solver
-  /// domains, the completion, its report and the shard cache. The
-  /// closure tables and the constraint system are dropped once the
-  /// completion is extracted; only their sizes are kept.
+  /// analysis left behind that a later request reads — its statistics
+  /// (the sizes open/edit responses print), the solver domains, the
+  /// completion, its report and the shard cache. The closure tables and
+  /// the constraint system do not outlive aflCompletion.
   struct Document {
     std::string Text;
     std::unique_ptr<ast::ASTContext> Ctx;
     const ast::Expr *Ast = nullptr;
     std::unique_ptr<regions::RegionProgram> Prog;
-    AnalysisSizes Sizes;
+    completion::AflStats Analysis;
     solver::SolveResult Sol;
     regions::Completion AflC;
     completion::CompletionReport Report;
@@ -224,11 +217,10 @@ private:
     uint64_t ShardsReused = 0;
   };
 
-  /// Runs closure analysis → constraint generation → cached solve →
-  /// extraction over Doc.Prog, replacing Doc's analysis results. Mirrors
-  /// completion::aflCompletion's fallbacks (conservative completion on
-  /// non-convergence or unsat) so results are byte-identical to the
-  /// one-shot pipeline.
+  /// Re-runs the A-F-L completion over Doc.Prog through
+  /// completion::aflCompletion with the document's shard cache,
+  /// replacing Doc's analysis results. Results are byte-identical to the
+  /// one-shot pipeline's, fallbacks included.
   AnalysisInfo analyze(Document &Doc, StageTimings &T);
 
   /// Renders the shared "analysis" result object for open/edit responses.

@@ -1,7 +1,5 @@
 #include "solver/Simplify.h"
 
-#include "solver/Components.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -26,23 +24,13 @@ void SimplifyStats::accumulate(const SimplifyStats &Other) {
   ReconstructSeconds += Other.ReconstructSeconds;
 }
 
-namespace {
-
-/// The simplification pipeline over an abstract constraint stream. The
-/// caller describes a system of \p NS state variables (initial domains
-/// \p Dom) and \p NB booleans whose \p NumCons constraints are produced
-/// — already over local ids, in emission order — by \p ForEach(Visit).
-/// Shared by simplify() (the stream is Sys.Cons verbatim) and
-/// simplifyShard() (the stream is one shard's constraints, translated to
-/// shard-local ids on the fly), so both run the identical algorithm and
-/// produce bit-identical residuals for the same stream.
-template <typename ForEachCons>
-SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
-                              support::StateDomains Dom,
-                              ForEachCons &&ForEach) {
+SimplifiedSystem solver::simplifyConstraints(size_t NB,
+                                             support::StateDomains Dom,
+                                             std::vector<Constraint> T) {
+  const size_t NS = Dom.size();
   SimplifiedSystem Out;
   Out.Stats.StateVarsBefore = NS;
-  Out.Stats.ConstraintsBefore = NumCons;
+  Out.Stats.ConstraintsBefore = T.size();
   // The residual is solver-internal: solved directly, never sharded, so
   // emission-time connectivity tracking would be pure overhead.
   Out.Residual.disableConnectivityTracking();
@@ -69,31 +57,27 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     return V;
   };
 
-  // Phase 1: collapse every Eq constraint; collect the triples.
-  std::vector<Constraint> T;
-  T.reserve(NumCons);
-  bool EarlyConflict = false;
-  ForEach([&](const Constraint &C) {
-    if (EarlyConflict)
-      return;
+  // Phase 1: collapse every Eq constraint; compact the triples, in
+  // order, to the front of T.
+  size_t NumTriples = 0;
+  for (const Constraint &C : T) {
     if (C.K != Constraint::Kind::Eq) {
-      T.push_back(C);
-      return;
+      T[NumTriples++] = C;
+      continue;
     }
     ++Out.Stats.EqRemoved;
     uint32_t A = Find(C.S1), B = Find(C.S2);
     if (A == B)
-      return;
+      continue;
     Parent[B] = A;
     uint8_t Merged = Dom.get(A) & Dom.get(B);
     Dom.set(A, Merged);
-    if (Merged == 0)
-      EarlyConflict = true;
-  });
-  if (EarlyConflict) {
-    Out.Conflict = true;
-    return Out;
+    if (Merged == 0) {
+      Out.Conflict = true;
+      return Out;
+    }
   }
+  T.resize(NumTriples);
 
   // Phase 2: apply forced booleans to a fixpoint, worklist-driven. A
   // triple is (re)examined when one of its endpoint classes merges or
@@ -356,50 +340,52 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
   return Out;
 }
 
-} // namespace
-
-SimplifiedSystem solver::simplify(const ConstraintSystem &Sys) {
-  return simplifyCore(Sys.numStateVars(), Sys.numBoolVars(),
-                      Sys.numConstraints(), Sys.StateDom,
-                      [&](auto &&Visit) {
-                        for (const Constraint &C : Sys.Cons)
-                          Visit(C);
-                      });
+ShardLocalIds solver::buildShardLocalIds(const ConstraintSystem &Sys) {
+  ShardLocalIds Ids;
+  Ids.State.assign(Sys.numStateVars(), ~0u);
+  Ids.Bool.assign(Sys.numBoolVars(), ~0u);
+  const size_t NumShards = Sys.numShards();
+  for (uint32_t K = 0; K != NumShards; ++K) {
+    const auto States = Sys.shardStates(K);
+    uint32_t L = 0;
+    for (uint32_t S : States)
+      Ids.State[S] = L++;
+    Ids.NumShardedStates += States.size();
+    const auto Bools = Sys.shardBools(K);
+    L = 0;
+    for (uint32_t B : Bools)
+      Ids.Bool[B] = L++;
+  }
+  return Ids;
 }
 
-SimplifiedSystem solver::simplifyShard(const ConstraintSystem &Sys, uint32_t K,
+SimplifiedSystem solver::simplifyGroup(const ConstraintSystem &Sys,
+                                       std::span<const uint32_t> Shards,
                                        const ShardLocalIds &Ids) {
-  return simplifyShardRange(Sys, K, K + 1, Ids);
-}
-
-SimplifiedSystem solver::simplifyShardRange(const ConstraintSystem &Sys,
-                                            uint32_t KBegin, uint32_t KEnd,
-                                            const ShardLocalIds &Ids) {
   size_t NS = 0, NB = 0, NC = 0;
-  for (uint32_t K = KBegin; K != KEnd; ++K) {
+  for (uint32_t K : Shards) {
     NS += Sys.shardStates(K).size();
     NB += Sys.shardBools(K).size();
     NC += Sys.shardConstraints(K).size();
   }
   support::StateDomains Dom;
   Dom.reserve(NS);
-  for (uint32_t K = KBegin; K != KEnd; ++K)
+  std::vector<Constraint> Cons;
+  Cons.reserve(NC);
+  uint32_t SOff = 0, BOff = 0;
+  for (uint32_t K : Shards) {
     for (uint32_t S : Sys.shardStates(K))
       Dom.push_back(Sys.StateDom.get(S));
-  return simplifyCore(
-      NS, NB, NC, std::move(Dom), [&](auto &&Visit) {
-        uint32_t SOff = 0, BOff = 0;
-        for (uint32_t K = KBegin; K != KEnd; ++K) {
-          for (uint32_t CI : Sys.shardConstraints(K)) {
-            Constraint C = Sys.Cons[CI];
-            C.S1 = SOff + Ids.State[C.S1];
-            C.S2 = SOff + Ids.State[C.S2];
-            if (C.K != Constraint::Kind::Eq)
-              C.B = BOff + Ids.Bool[C.B];
-            Visit(C);
-          }
-          SOff += static_cast<uint32_t>(Sys.shardStates(K).size());
-          BOff += static_cast<uint32_t>(Sys.shardBools(K).size());
-        }
-      });
+    for (uint32_t CI : Sys.shardConstraints(K)) {
+      Constraint C = Sys.Cons[CI];
+      C.S1 = SOff + Ids.State[C.S1];
+      C.S2 = SOff + Ids.State[C.S2];
+      if (C.K != Constraint::Kind::Eq)
+        C.B = BOff + Ids.Bool[C.B];
+      Cons.push_back(C);
+    }
+    SOff += static_cast<uint32_t>(Sys.shardStates(K).size());
+    BOff += static_cast<uint32_t>(Sys.shardBools(K).size());
+  }
+  return simplifyConstraints(NB, std::move(Dom), std::move(Cons));
 }

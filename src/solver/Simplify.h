@@ -28,12 +28,22 @@
 /// domains, so mapping the representative's solved domain back over the
 /// class reproduces the raw solver's answer (docs/SOLVER.md).
 ///
+/// The solver runs the pass per group of emission shards
+/// (simplifyGroup). Shards are connected components — two variables are
+/// connected when some constraint mentions both, and a triple also
+/// connects its boolean to both states — so they share no variables and
+/// each can be simplified and solved on its own: the per-procedure
+/// decomposition of the Mercury region system (PAPERS.md) applied to the
+/// §4.3 solve. Local ids ascend in global-id order (docs/SOLVER.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AFL_SOLVER_SIMPLIFY_H
 #define AFL_SOLVER_SIMPLIFY_H
 
 #include "constraints/ConstraintSystem.h"
+
+#include <span>
 
 namespace afl {
 namespace solver {
@@ -84,34 +94,38 @@ struct SimplifiedSystem {
   SimplifyStats Stats;
 };
 
-/// Runs the preprocessing pass over \p Sys (which is not modified).
-SimplifiedSystem simplify(const constraints::ConstraintSystem &Sys);
+/// Runs the preprocessing pass over a system of \p Dom.size() state
+/// variables (initial domains \p Dom) and \p NumBools booleans whose
+/// constraints, over those ids and in emission order, are \p Cons.
+SimplifiedSystem simplifyConstraints(size_t NumBools,
+                                     support::StateDomains Dom,
+                                     std::vector<constraints::Constraint> Cons);
 
-struct ShardLocalIds;
+/// Local-id tables for every shard of a pre-sharded system (the CSR
+/// component index ConstraintSystem finalizes from its emission-time
+/// union-find): a variable's local id is its rank within its shard, so
+/// local ids ascend in global-id order.
+struct ShardLocalIds {
+  std::vector<uint32_t> State, Bool;
+  size_t NumShardedStates = 0;
+};
+ShardLocalIds buildShardLocalIds(const constraints::ConstraintSystem &Sys);
 
-/// Runs the identical pass over shard \p K of a pre-sharded system,
-/// consuming the CSR shard index directly — no materialized
-/// per-component copy. Variables are shard-local (\p Ids, from
-/// buildShardLocalIds): StateRep indexes shard-local state ids, and
-/// residual boolean ids are the shard-local ones. Produces the residual
-/// that simplify() over materializeShard(Sys, K, Ids).Sys would,
-/// bit-identically. Only shard-local initial domains are checked for
-/// emptiness; a caller that wants the whole-system conflict check (a
-/// zeroed domain outside any shard) performs it separately, as
+/// Runs the pass over the group of shards \p Shards of a pre-sharded
+/// system, treated as one disjoint union: group-local ids concatenate the
+/// member shards' local id spaces (\p Ids) in the order given (member
+/// M's states start at the sum of the preceding members' state counts),
+/// so StateRep indexes group-local state ids and residual boolean ids
+/// are the group-local ones. Because shards share no variables, the
+/// result is the exact concatenation of the members' individual
+/// simplifications — grouping exists purely to amortize per-call fixed
+/// costs over small shards. Only the members' initial domains are
+/// checked for emptiness; a caller that wants the whole-system conflict
+/// check (a zeroed domain outside any shard) performs it separately, as
 /// solver::solve does.
-SimplifiedSystem simplifyShard(const constraints::ConstraintSystem &Sys,
-                               uint32_t K, const ShardLocalIds &Ids);
-
-/// simplifyShard generalized to the contiguous shard range
-/// [\p KBegin, \p KEnd), treated as one disjoint union: group-local ids
-/// concatenate the member shards' local id spaces in shard order (member
-/// M's states start at the sum of the preceding members' state counts).
-/// Because shards share no variables, the result is the exact
-/// concatenation of the members' individual simplifications — grouping
-/// exists purely to amortize per-call fixed costs over small shards.
-SimplifiedSystem simplifyShardRange(const constraints::ConstraintSystem &Sys,
-                                    uint32_t KBegin, uint32_t KEnd,
-                                    const ShardLocalIds &Ids);
+SimplifiedSystem simplifyGroup(const constraints::ConstraintSystem &Sys,
+                               std::span<const uint32_t> Shards,
+                               const ShardLocalIds &Ids);
 
 } // namespace solver
 } // namespace afl

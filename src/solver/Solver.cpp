@@ -1,6 +1,5 @@
 #include "solver/Solver.h"
 
-#include "solver/Components.h"
 #include "support/Metrics.h"
 #include "support/PackedDomains.h"
 #include "support/ThreadPool.h"
@@ -9,6 +8,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <numeric>
 
 using namespace afl;
 using namespace afl::solver;
@@ -424,14 +424,64 @@ SolveResult finishSharded(const ConstraintSystem &Sys,
 /// context emitted its own.
 constexpr size_t FanOutMinConstraints = 1024;
 
+/// Writes shard \p K's memo key into \p Key: its content in shard-local
+/// coordinates — every constraint's kind and local variable ids (in CSR
+/// order) plus the initial domains of the member variables. Identical
+/// keys mean identical subsystems up to the local->global renaming, and
+/// the solved local domains depend on nothing else.
+void shardKey(const ConstraintSystem &Sys, uint32_t K,
+              const ShardLocalIds &Ids, std::string &Key) {
+  const auto Cons = Sys.shardConstraints(K);
+  const auto States = Sys.shardStates(K);
+  const auto Bools = Sys.shardBools(K);
+  // Sized for the longest encoding up front and trimmed after: the
+  // buffer is reused across shards, so it is written, not grown.
+  Key.resize((1 + 3 * 4) * Cons.size() + States.size() + Bools.size());
+  char *Out = Key.data();
+  auto Put32 = [&Out](uint32_t V) {
+    Out[0] = static_cast<char>(V);
+    Out[1] = static_cast<char>(V >> 8);
+    Out[2] = static_cast<char>(V >> 16);
+    Out[3] = static_cast<char>(V >> 24);
+    Out += 4;
+  };
+  for (uint32_t CI : Cons) {
+    const Constraint &C = Sys.Cons[CI];
+    *Out++ = static_cast<char>(C.K);
+    Put32(Ids.State[C.S1]);
+    Put32(Ids.State[C.S2]);
+    if (C.K != Constraint::Kind::Eq)
+      Put32(Ids.Bool[C.B]);
+  }
+  for (uint32_t V : States)
+    *Out++ = static_cast<char>(Sys.StateDom.get(V));
+  for (uint32_t V : Bools)
+    *Out++ = static_cast<char>(Sys.BoolDom.get(V));
+  Key.resize(static_cast<size_t>(Out - Key.data()));
+}
+
+/// Writes a memoized shard solution into \p R's global domains.
+void replayShard(const ConstraintSystem &Sys, uint32_t K,
+                 const ShardSolutionCache::Entry &E, SolveResult &R) {
+  const auto States = Sys.shardStates(K);
+  for (size_t L = 0; L != States.size(); ++L)
+    R.StateDom.set(States.begin()[L], E.StateDom[L]);
+  const auto Bools = Sys.shardBools(K);
+  for (size_t L = 0; L != Bools.size(); ++L)
+    R.BoolDom.set(Bools.begin()[L], E.BoolDom[L]);
+}
+
 /// The production path. The input's emission-time union-find already
 /// partitioned variables and constraints into connected components, so
-/// contiguous groups of shards are simplified and solved on their own,
-/// with no global simplify, no component-discovery pass and no
-/// materialized per-shard system (simplifyShardRange consumes the CSR
-/// shard index directly).
+/// groups of shards are simplified and solved on their own, with no
+/// global simplify, no component-discovery pass and no materialized
+/// per-shard system (simplifyGroup consumes the CSR shard index
+/// directly). With a \p Cache, shards whose key it holds — or whose key
+/// an earlier shard of this call carries — are replayed; only the rest
+/// are grouped and solved, and their solutions are inserted on the
+/// calling thread after the join.
 SolveResult solveSharded(const ConstraintSystem &Sys,
-                         const Stopwatch &Watch) {
+                         ShardSolutionCache *Cache, const Stopwatch &Watch) {
   SolveResult R;
   ShardLocalIds Ids;
   if (!beginSharded(Sys, R, Ids)) {
@@ -439,11 +489,53 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
     return R;
   }
 
-  const unsigned Jobs = Sys.numConstraints() < FanOutMinConstraints
+  // The shards to solve, in shard order. With a cache: their memo keys
+  // (MissKeys, parallel to ToSolve), and the shards whose key an earlier
+  // shard of this call carries, paired with that shard's index in
+  // ToSolve — they replay its solution after the join.
+  const uint32_t NumShards = static_cast<uint32_t>(Sys.numShards());
+  std::vector<uint32_t> ToSolve;
+  std::vector<std::string> MissKeys;
+  std::vector<std::pair<uint32_t, uint32_t>> Replays;
+  if (!Cache) {
+    ToSolve.resize(NumShards);
+    std::iota(ToSolve.begin(), ToSolve.end(), 0u);
+  } else {
+    std::unordered_map<std::string, uint32_t> Pending;
+    std::string Key;
+    for (uint32_t K = 0; K != NumShards; ++K) {
+      shardKey(Sys, K, Ids, Key);
+      auto It = Cache->Entries.find(Key);
+      if (It != Cache->Entries.end()) {
+        ++Cache->Hits;
+        replayShard(Sys, K, It->second, R);
+        continue;
+      }
+      auto [P, New] =
+          Pending.try_emplace(Key, static_cast<uint32_t>(ToSolve.size()));
+      if (New) {
+        ++Cache->Misses;
+        ToSolve.push_back(K);
+      } else {
+        ++Cache->Hits;
+        Replays.push_back({K, P->second});
+      }
+    }
+    MissKeys.resize(ToSolve.size());
+    while (!Pending.empty()) {
+      auto Node = Pending.extract(Pending.begin());
+      MissKeys[Node.mapped()] = std::move(Node.key());
+    }
+  }
+  size_t NumConstraints = 0;
+  for (uint32_t K : ToSolve)
+    NumConstraints += Sys.shardConstraints(K).size();
+
+  const unsigned Jobs = NumConstraints < FanOutMinConstraints
                             ? 1
                             : ThreadPool::hardwareThreads();
 
-  // Group contiguous shards into work units of roughly GroupTarget
+  // Group consecutive shards into work units of roughly GroupTarget
   // constraints: the per-unit fixed costs (simplification scratch,
   // solver construction, propagation seeding) dwarf the work of a
   // ten-constraint shard, and typical programs produce hundreds of tiny
@@ -451,27 +543,25 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
   // group is exactly the concatenation of its members' individual runs —
   // grouping changes nothing observable but the amortization. When
   // fanned out, the target shrinks so every worker gets several units
-  // to balance.
+  // to balance. GroupStart indexes ToSolve.
   size_t GroupTarget = 8192;
   if (Jobs > 1)
     GroupTarget = std::min(
-        GroupTarget,
-        std::max<size_t>(1, Sys.numConstraints() / (size_t(Jobs) * 4)));
-  const uint32_t NumShards = static_cast<uint32_t>(Sys.numShards());
+        GroupTarget, std::max<size_t>(1, NumConstraints / (size_t(Jobs) * 4)));
   std::vector<uint32_t> GroupStart{0};
   {
     size_t Acc = 0;
-    for (uint32_t K = 0; K != NumShards; ++K) {
-      size_t N = Sys.shardConstraints(K).size();
+    for (uint32_t I = 0; I != ToSolve.size(); ++I) {
+      size_t N = Sys.shardConstraints(ToSolve[I]).size();
       if (Acc != 0 && Acc + N > GroupTarget) {
-        GroupStart.push_back(K);
+        GroupStart.push_back(I);
         Acc = 0;
       }
       Acc += N;
     }
   }
-  if (NumShards != 0)
-    GroupStart.push_back(NumShards);
+  if (!ToSolve.empty())
+    GroupStart.push_back(static_cast<uint32_t>(ToSolve.size()));
   const size_t NumGroups = GroupStart.size() - 1;
 
   struct GroupWork {
@@ -491,9 +581,10 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
   auto SolveOne = [&](size_t G) {
     if (Failed.load(std::memory_order_relaxed))
       return;
-    const uint32_t KBegin = GroupStart[G], KEnd = GroupStart[G + 1];
+    const std::span<const uint32_t> Members(
+        ToSolve.data() + GroupStart[G], GroupStart[G + 1] - GroupStart[G]);
     Stopwatch SW;
-    SimplifiedSystem Simp = simplifyShardRange(Sys, KBegin, KEnd, Ids);
+    SimplifiedSystem Simp = simplifyGroup(Sys, Members, Ids);
     Work[G].Stats = Simp.Stats;
     Work[G].Stats.SimplifySeconds = SW.seconds();
     if (Simp.Conflict) {
@@ -506,19 +597,18 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
     // variable, so a rep -> member table buckets the residual
     // constraints in one linear pass.
     {
-      const uint32_t Members = KEnd - KBegin;
       std::vector<uint32_t> MemberOf(Simp.Residual.numStateVars());
       uint32_t Off = 0;
-      for (uint32_t M = 0; M != Members; ++M) {
+      for (uint32_t M = 0; M != Members.size(); ++M) {
         uint32_t RepBegin = Simp.StateRep[Off];
-        Off += static_cast<uint32_t>(Sys.shardStates(KBegin + M).size());
+        Off += static_cast<uint32_t>(Sys.shardStates(Members[M]).size());
         uint32_t RepEnd = Off < Simp.StateRep.size()
                               ? Simp.StateRep[Off]
                               : static_cast<uint32_t>(MemberOf.size());
         for (uint32_t Rep = RepBegin; Rep != RepEnd; ++Rep)
           MemberOf[Rep] = M;
       }
-      std::vector<uint32_t> PerMember(Members, 0);
+      std::vector<uint32_t> PerMember(Members.size(), 0);
       for (const Constraint &C : Simp.Residual.Cons)
         ++PerMember[MemberOf[C.S1]];
       for (uint32_t N : PerMember)
@@ -558,23 +648,43 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
 
   // Reconstruction: StateRep and the solved arrays index group-local
   // variables; the shard tables give the local -> global mapping,
-  // member by member.
+  // member by member. With a cache, each solved shard's local domains
+  // become its entry, which the shards replaying its key then read.
   Stopwatch Phase;
+  std::vector<const ShardSolutionCache::Entry *> Solved(Cache ? ToSolve.size()
+                                                              : 0);
   for (size_t G = 0; G != NumGroups; ++G) {
     const GroupWork &W = Work[G];
     uint32_t SOff = 0, BOff = 0;
-    for (uint32_t K = GroupStart[G]; K != GroupStart[G + 1]; ++K) {
-      const auto States = Sys.shardStates(K);
-      for (size_t L = 0; L != States.size(); ++L)
-        R.StateDom.set(States.begin()[L],
-                       W.Solved.StateDom.get(W.StateRep[SOff + L]));
+    for (uint32_t I = GroupStart[G]; I != GroupStart[G + 1]; ++I) {
+      const auto States = Sys.shardStates(ToSolve[I]);
+      const auto Bools = Sys.shardBools(ToSolve[I]);
+      ShardSolutionCache::Entry E;
+      if (Cache) {
+        E.StateDom.reserve(States.size());
+        E.BoolDom.reserve(Bools.size());
+      }
+      for (size_t L = 0; L != States.size(); ++L) {
+        uint8_t D = W.Solved.StateDom.get(W.StateRep[SOff + L]);
+        R.StateDom.set(States.begin()[L], D);
+        if (Cache)
+          E.StateDom.push_back(D);
+      }
       SOff += static_cast<uint32_t>(States.size());
-      const auto Bools = Sys.shardBools(K);
-      for (size_t L = 0; L != Bools.size(); ++L)
-        R.BoolDom.set(Bools.begin()[L], W.Solved.BoolDom.get(BOff + L));
+      for (size_t L = 0; L != Bools.size(); ++L) {
+        uint8_t D = W.Solved.BoolDom.get(BOff + L);
+        R.BoolDom.set(Bools.begin()[L], D);
+        if (Cache)
+          E.BoolDom.push_back(D);
+      }
       BOff += static_cast<uint32_t>(Bools.size());
+      if (Cache)
+        Solved[I] = &Cache->Entries.emplace(std::move(MissKeys[I]), std::move(E))
+                         .first->second;
     }
   }
+  for (auto [K, I] : Replays)
+    replayShard(Sys, K, *Solved[I], R);
   R.Simplify.ReconstructSeconds = Phase.seconds();
   return finishSharded(Sys, Ids, false, std::move(R), Watch);
 }
@@ -582,111 +692,12 @@ SolveResult solveSharded(const ConstraintSystem &Sys,
 } // namespace
 
 SolveResult solver::solve(const ConstraintSystem &Sys,
-                          const SolveOptions &Options) {
+                          const SolveOptions &Options,
+                          ShardSolutionCache *Cache) {
   Stopwatch Watch;
   if (Options.Simplify)
-    return solveSharded(Sys, Watch);
+    return solveSharded(Sys, Cache, Watch);
   SolveResult R = solveRaw(Sys);
   R.Seconds = Watch.seconds();
   return R;
-}
-
-SolveResult solver::solveCached(const ConstraintSystem &Sys,
-                                const SolveOptions &Options,
-                                ShardSolutionCache &Cache) {
-  if (!Options.Simplify)
-    return solve(Sys, Options);
-
-  Stopwatch Watch;
-  SolveResult R;
-  ShardLocalIds Ids;
-  if (!beginSharded(Sys, R, Ids)) {
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  bool Failed = false;
-  std::string Key;
-  auto Add32 = [&Key](uint32_t V) {
-    Key.push_back(static_cast<char>(V));
-    Key.push_back(static_cast<char>(V >> 8));
-    Key.push_back(static_cast<char>(V >> 16));
-    Key.push_back(static_cast<char>(V >> 24));
-  };
-
-  const size_t NumShards = Sys.numShards();
-  for (uint32_t K = 0; K != NumShards && !Failed; ++K) {
-    // The key is the shard's content in shard-local coordinates: every
-    // constraint's kind and local variable ids (in CSR order) plus the
-    // initial domains of the member variables. Identical keys mean
-    // identical subsystems up to the local->global renaming, and the
-    // solved local domains depend on nothing else.
-    Key.clear();
-    for (uint32_t CI : Sys.shardConstraints(K)) {
-      const Constraint &C = Sys.Cons[CI];
-      Key.push_back(static_cast<char>(C.K));
-      Add32(Ids.State[C.S1]);
-      Add32(Ids.State[C.S2]);
-      if (C.K != Constraint::Kind::Eq)
-        Add32(Ids.Bool[C.B]);
-    }
-    const auto States = Sys.shardStates(K);
-    for (uint32_t V : States)
-      Key.push_back(static_cast<char>(Sys.StateDom.get(V)));
-    const auto Bools = Sys.shardBools(K);
-    for (uint32_t V : Bools)
-      Key.push_back(static_cast<char>(Sys.BoolDom.get(V)));
-
-    auto Scatter = [&](const ShardSolutionCache::Entry &E) {
-      for (size_t L = 0; L != States.size(); ++L)
-        R.StateDom.set(States.begin()[L], E.StateDom[L]);
-      for (size_t L = 0; L != Bools.size(); ++L)
-        R.BoolDom.set(Bools.begin()[L], E.BoolDom[L]);
-    };
-
-    auto It = Cache.Entries.find(Key);
-    if (It != Cache.Entries.end()) {
-      ++Cache.Hits;
-      if (!It->second.Sat) {
-        Failed = true;
-        break;
-      }
-      Scatter(It->second);
-      continue;
-    }
-
-    ++Cache.Misses;
-    Stopwatch SW;
-    SimplifiedSystem Simp = simplifyShard(Sys, K, Ids);
-    Simp.Stats.SimplifySeconds = SW.seconds();
-    R.Simplify.accumulate(Simp.Stats);
-    R.Simplify.LargestComponent = std::max(
-        R.Simplify.LargestComponent, Simp.Residual.Cons.size());
-    ShardSolutionCache::Entry E;
-    if (Simp.Conflict) {
-      Cache.Entries.emplace(Key, std::move(E));
-      Failed = true;
-      break;
-    }
-    SolveResult CR = solveResidual(Simp.Residual);
-    R.Propagations += CR.Propagations;
-    R.Choices += CR.Choices;
-    R.Backtracks += CR.Backtracks;
-    if (!CR.Sat) {
-      Cache.Entries.emplace(Key, std::move(E));
-      Failed = true;
-      break;
-    }
-    E.Sat = true;
-    E.StateDom.resize(States.size());
-    for (size_t L = 0; L != States.size(); ++L)
-      E.StateDom[L] = CR.StateDom.get(Simp.StateRep[L]);
-    E.BoolDom.resize(Bools.size());
-    for (size_t L = 0; L != Bools.size(); ++L)
-      E.BoolDom[L] = CR.BoolDom.get(L);
-    Scatter(E);
-    Cache.Entries.emplace(Key, std::move(E));
-  }
-
-  return finishSharded(Sys, Ids, Failed, std::move(R), Watch);
 }

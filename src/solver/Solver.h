@@ -17,17 +17,20 @@
 /// Remaining undetermined booleans default to false (no operation). The
 /// conservative completion is a witness that the system is satisfiable.
 ///
-/// solve() has exactly two paths. Production (SolveOptions::Simplify,
-/// the default) consumes the input's emission-time shards — the
-/// connected components ConstraintSystem finalizes from its union-find —
-/// and simplifies (src/solver/Simplify.h: equalities collapsed by
+/// solve() has two paths. Production (SolveOptions::Simplify, the
+/// default) consumes the input's emission-time shards — the connected
+/// components ConstraintSystem finalizes from its union-find — and
+/// simplifies (src/solver/Simplify.h: equalities collapsed by
 /// union-find, forced triples eliminated, duplicates dropped) and solves
 /// each shard group on its own over bit-packed domains — fanned out over
 /// the shared thread pool when the system is large — then maps the
-/// solution back to the original variable space. The oracle
-/// (Simplify = false) runs the paper-literal §4.3 engine over the raw
-/// system with byte-per-variable domains on the calling thread. Both
-/// produce bit-identical domains (docs/SOLVER.md,
+/// solution back to the original variable space. An optional
+/// ShardSolutionCache is a memo in front of that path: shards whose
+/// content it has seen replay their solutions, and only the rest are
+/// grouped and solved. The oracle (Simplify = false) runs the
+/// paper-literal §4.3 engine over the raw system with
+/// byte-per-variable domains on the calling thread. Both produce
+/// bit-identical domains (docs/SOLVER.md,
 /// tests/SolverDifferentialTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
@@ -80,44 +83,42 @@ struct SolveResult {
   }
 };
 
-/// Solves \p Sys. The input system is not modified.
-SolveResult solve(const constraints::ConstraintSystem &Sys,
-                  const SolveOptions &Options = SolveOptions());
-
-/// Content-keyed cache of per-shard solutions, owned by long-lived
+/// Content-keyed memo of per-shard solutions, owned by long-lived
 /// callers (one per open document in the analysis server). A shard's key
 /// is the byte string of its shard-local constraint encoding plus the
 /// initial domains of its member variables, so any shard whose emitted
 /// content is unchanged across a re-analysis — regardless of how global
 /// variable ids shifted — replays its solved domains without touching
-/// the simplifier or the solver. Entries record unsatisfiable shards
-/// too. The cache only grows; documents are the intended owner and a
-/// document's shard population is bounded by its program size.
+/// the simplifier or the solver. Only solved (satisfiable) shards are
+/// recorded. Nothing is evicted: a cache holds the distinct shards of
+/// every revision its owner has analyzed, and a document's cache lives
+/// until the document is closed.
 struct ShardSolutionCache {
   struct Entry {
-    bool Sat = false;
     /// Solved domains in shard-local order (the order of
     /// ConstraintSystem::shardStates / shardBools).
     std::vector<uint8_t> StateDom;
     std::vector<uint8_t> BoolDom;
   };
   std::unordered_map<std::string, Entry> Entries;
-  /// Cumulative counters (the server reports per-request deltas).
+  /// Cumulative counters (the server reports per-request deltas). A
+  /// shard whose key an earlier shard of the same call already carries
+  /// counts as a hit.
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };
 
-/// Like solve(), but each shard is first looked up in \p Cache and only
-/// cache misses are simplified and solved (new solutions are inserted).
-/// Produces bit-identical domains to solve(): shards share no
-/// variables, so per-shard resolution is the exact concatenation of the
-/// grouped path (docs/SOLVER.md). Work counters (propagations, simplify
-/// stats) cover only the shards actually solved. Falls back to plain
-/// solve() when Options disable Simplify (the cache is keyed on shard
-/// content, which only the production path consumes).
-SolveResult solveCached(const constraints::ConstraintSystem &Sys,
-                        const SolveOptions &Options,
-                        ShardSolutionCache &Cache);
+/// Solves \p Sys. The input system is not modified. With a \p Cache
+/// (production path only; the oracle ignores it), shards found in it
+/// replay their solutions, the rest are solved exactly as without one
+/// and inserted — unless the system is unsatisfiable, in which case
+/// nothing is inserted. Domains are bit-identical either way: shards
+/// share no variables, so a shard's solution depends on its content
+/// alone (docs/SOLVER.md). Work counters (propagations, simplify stats)
+/// cover only the shards actually solved.
+SolveResult solve(const constraints::ConstraintSystem &Sys,
+                  const SolveOptions &Options = SolveOptions(),
+                  ShardSolutionCache *Cache = nullptr);
 
 } // namespace solver
 } // namespace afl

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -104,8 +105,8 @@ std::string domainString(const support::PackedArray<Bits> &Dom) {
 }
 
 /// The from-scratch oracle: front end + closure + constraints + plain
-/// (uncached) solve + extraction, mirroring completion::aflCompletion's
-/// fallbacks exactly as the server does.
+/// (uncached) solve + extraction, stage by stage, with the fallbacks of
+/// completion::aflCompletion (which the server calls).
 struct Oracle {
   bool FrontOk = false;
   std::string Report;
@@ -565,6 +566,38 @@ TEST(ServerIncrementality, ReuseEditDirtiesNothingFullEditReplaysShards) {
   int64_t Reused =
       dig(E2, {"result", "analysis", "shards_reused"})->asInt();
   EXPECT_GT(Reused, 0);
+}
+
+TEST(ServerIncrementality, ColdOpenShardCountsOnBatchCorpus) {
+  // A cold open solves each distinct shard once; a shard whose content
+  // an earlier shard of the same open already carries replays that
+  // solution and counts as reused. Pinned per file of examples/batch.
+  struct Expected {
+    const char *File;
+    int64_t Solved, Reused;
+  };
+  const Expected Corpus[] = {
+      {"appel.afl", 17, 3}, {"example11.afl", 6, 0}, {"example21.afl", 6, 1},
+      {"fac.afl", 7, 1},    {"fib.afl", 7, 2},       {"hof.afl", 9, 0},
+      {"sumlist.afl", 12, 1},
+  };
+  for (const Expected &E : Corpus) {
+    std::ifstream In(std::string(AFL_EXAMPLES_DIR) + "/batch/" + E.File);
+    ASSERT_TRUE(In) << E.File;
+    std::stringstream Source;
+    Source << In.rdbuf();
+    driver::Session S;
+    int64_t Doc = -1;
+    json::Value R = openDoc(S, Source.str(), &Doc);
+    ASSERT_TRUE(okOf(R)) << E.File;
+    const json::Value *Solved = dig(R, {"result", "analysis", "shards_solved"});
+    const json::Value *Reused = dig(R, {"result", "analysis", "shards_reused"});
+    const json::Value *Shards = dig(R, {"result", "analysis", "shards"});
+    ASSERT_TRUE(Solved && Reused && Shards) << E.File;
+    EXPECT_EQ(Solved->asInt(), E.Solved) << E.File;
+    EXPECT_EQ(Reused->asInt(), E.Reused) << E.File;
+    EXPECT_EQ(Shards->asInt(), E.Solved + E.Reused) << E.File;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,20 +1,185 @@
 // Unit tests for the solver preprocessing layer: union-find collapse of
 // Eq constraints, forced-boolean elimination, triple deduplication,
 // early conflict detection, and the connected-component decomposition.
+//
+// The production solver only ever simplifies groups of emission shards
+// (solver::simplifyGroup). The references it is checked against live
+// here: a whole-system simplify(), splitComponents (component discovery
+// from scratch) and materializeShard (one shard as a standalone system).
 
 #include "constraints/ConstraintSystem.h"
-#include "solver/Components.h"
 #include "solver/Simplify.h"
 #include "solver/Solver.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace afl;
 using namespace afl::constraints;
 using namespace afl::solver;
 
 namespace {
+
+/// The preprocessing pass over a whole system (which is not modified).
+SimplifiedSystem simplify(const ConstraintSystem &Sys) {
+  return simplifyConstraints(Sys.numBoolVars(), Sys.StateDom, Sys.Cons);
+}
+
+/// One connected component, as a self-contained system over local ids.
+struct Component {
+  ConstraintSystem Sys;
+  /// Local state/bool variable id -> id in the source system.
+  std::vector<StateVarId> StateGlobal;
+  std::vector<BoolVarId> BoolGlobal;
+};
+
+struct ComponentSplit {
+  std::vector<Component> Comps;
+  /// Constraint count of the largest component.
+  size_t LargestConstraints = 0;
+};
+
+/// Plain union-find (no domain bookkeeping).
+class UnionFind {
+public:
+  explicit UnionFind(size_t N) : Parent(N), Rank(N, 0) {
+    for (uint32_t I = 0; I != N; ++I)
+      Parent[I] = I;
+  }
+  uint32_t find(uint32_t V) {
+    while (Parent[V] != V) {
+      Parent[V] = Parent[Parent[V]];
+      V = Parent[V];
+    }
+    return V;
+  }
+  void merge(uint32_t A, uint32_t B) {
+    A = find(A);
+    B = find(B);
+    if (A == B)
+      return;
+    if (Rank[A] < Rank[B])
+      std::swap(A, B);
+    if (Rank[A] == Rank[B])
+      ++Rank[A];
+    Parent[B] = A;
+  }
+
+private:
+  std::vector<uint32_t> Parent;
+  std::vector<uint8_t> Rank;
+};
+
+/// Splits \p Sys into connected components from scratch. Two variables
+/// are connected when some constraint mentions both; a triple also
+/// connects its boolean to both states. Variables that occur in no
+/// constraint belong to no component. Components are numbered in
+/// ascending order of their smallest member and local ids ascend in
+/// global-id order — the order the emission-time shard index promises.
+ComponentSplit splitComponents(const ConstraintSystem &Sys) {
+  ComponentSplit Out;
+  const size_t NS = Sys.numStateVars();
+  const size_t NB = Sys.numBoolVars();
+
+  // States are [0, NS); booleans live at NS + b.
+  UnionFind UF(NS + NB);
+  for (const Constraint &C : Sys.Cons) {
+    UF.merge(C.S1, C.S2);
+    if (C.K != Constraint::Kind::Eq)
+      UF.merge(C.S1, static_cast<uint32_t>(NS) + C.B);
+  }
+
+  constexpr uint32_t None = ~0u;
+  std::vector<uint32_t> CompOf(NS + NB, None);
+  auto CompFor = [&](uint32_t V) -> uint32_t {
+    uint32_t Root = UF.find(V);
+    if (CompOf[Root] == None) {
+      CompOf[Root] = static_cast<uint32_t>(Out.Comps.size());
+      Out.Comps.emplace_back();
+      Out.Comps.back().Sys.disableConnectivityTracking();
+    }
+    return CompOf[Root];
+  };
+  std::vector<bool> Occurs(NS + NB, false);
+  for (const Constraint &C : Sys.Cons) {
+    Occurs[C.S1] = Occurs[C.S2] = true;
+    if (C.K != Constraint::Kind::Eq)
+      Occurs[NS + C.B] = true;
+  }
+
+  std::vector<uint32_t> LocalId(NS + NB, None);
+  for (uint32_t V = 0; V != NS; ++V) {
+    if (!Occurs[V])
+      continue;
+    Component &Comp = Out.Comps[CompFor(V)];
+    LocalId[V] = Comp.Sys.newState(Sys.StateDom[V]);
+    Comp.StateGlobal.push_back(V);
+  }
+  for (uint32_t B = 0; B != NB; ++B) {
+    if (!Occurs[NS + B])
+      continue;
+    Component &Comp = Out.Comps[CompFor(static_cast<uint32_t>(NS) + B)];
+    LocalId[NS + B] = Comp.Sys.newBool(Sys.BoolDom.get(B));
+    Comp.BoolGlobal.push_back(B);
+  }
+
+  // Constraints keep their relative order within each component.
+  for (const Constraint &C : Sys.Cons) {
+    Component &Comp = Out.Comps[CompOf[UF.find(C.S1)]];
+    uint32_t L1 = LocalId[C.S1], L2 = LocalId[C.S2];
+    switch (C.K) {
+    case Constraint::Kind::Eq:
+      Comp.Sys.addEq(L1, L2);
+      break;
+    case Constraint::Kind::AllocTriple:
+      Comp.Sys.addAllocTriple(L1, LocalId[NS + C.B], L2);
+      break;
+    case Constraint::Kind::DeallocTriple:
+      Comp.Sys.addDeallocTriple(L1, LocalId[NS + C.B], L2);
+      break;
+    }
+  }
+
+  for (const Component &Comp : Out.Comps)
+    Out.LargestConstraints =
+        std::max(Out.LargestConstraints, Comp.Sys.numConstraints());
+  return Out;
+}
+
+/// Shard \p K of a pre-sharded system as a self-contained component: a
+/// pure gather over the CSR shard index, equivalent to the corresponding
+/// splitComponents entry.
+Component materializeShard(const ConstraintSystem &Sys, uint32_t K,
+                           const ShardLocalIds &Ids) {
+  Component Comp;
+  Comp.Sys.disableConnectivityTracking();
+  for (uint32_t S : Sys.shardStates(K)) {
+    Comp.Sys.newState(Sys.StateDom[S]);
+    Comp.StateGlobal.push_back(S);
+  }
+  for (uint32_t B : Sys.shardBools(K)) {
+    Comp.Sys.newBool(Sys.BoolDom.get(B));
+    Comp.BoolGlobal.push_back(B);
+  }
+  for (uint32_t CI : Sys.shardConstraints(K)) {
+    const Constraint &C = Sys.Cons[CI];
+    uint32_t L1 = Ids.State[C.S1], L2 = Ids.State[C.S2];
+    switch (C.K) {
+    case Constraint::Kind::Eq:
+      Comp.Sys.addEq(L1, L2);
+      break;
+    case Constraint::Kind::AllocTriple:
+      Comp.Sys.addAllocTriple(L1, Ids.Bool[C.B], L2);
+      break;
+    case Constraint::Kind::DeallocTriple:
+      Comp.Sys.addDeallocTriple(L1, Ids.Bool[C.B], L2);
+      break;
+    }
+  }
+  return Comp;
+}
 
 TEST(Simplify, UnionFindCollapsesEqChains) {
   ConstraintSystem Sys;
@@ -326,12 +491,13 @@ TEST(Shards, SelfTripleFormsSingletonShard) {
 }
 
 TEST(Shards, SimplifyShardMatchesMaterializedSimplify) {
-  // simplifyShard consumes the CSR index in place; its contract is
-  // bit-identical output to simplify() over the materialized component.
+  // simplifyGroup consumes the CSR index in place; on a one-shard group
+  // its contract is bit-identical output to simplify() over the
+  // materialized component.
   ConstraintSystem Sys = chainsSystem(6, 7);
   ShardLocalIds Ids = buildShardLocalIds(Sys);
   for (uint32_t K = 0; K != Sys.numShards(); ++K) {
-    SimplifiedSystem Direct = simplifyShard(Sys, K, Ids);
+    SimplifiedSystem Direct = simplifyGroup(Sys, {&K, 1}, Ids);
     SimplifiedSystem Mat = simplify(materializeShard(Sys, K, Ids).Sys);
     ASSERT_EQ(Direct.Conflict, Mat.Conflict);
     ASSERT_EQ(Direct.Residual.numConstraints(), Mat.Residual.numConstraints());
@@ -344,34 +510,41 @@ TEST(Shards, SimplifyShardMatchesMaterializedSimplify) {
 }
 
 TEST(Shards, SimplifyShardRangeIsConcatenation) {
-  // A contiguous range of shards simplifies to the exact concatenation
-  // of the members' individual simplifications: residual constraints in
-  // member order with representative ids offset by the preceding
-  // members' representative counts, and boolean ids offset by the
-  // preceding members' shard-local boolean counts.
+  // A group of shards — every shard, or any ascending subset, which is
+  // what the solver groups when a cache answers the shards in between —
+  // simplifies to the exact concatenation of the members' individual
+  // simplifications: residual constraints in member order with
+  // representative ids offset by the preceding members' representative
+  // counts, and boolean ids offset by the preceding members'
+  // shard-local boolean counts.
   ConstraintSystem Sys = chainsSystem(6, 7);
   ShardLocalIds Ids = buildShardLocalIds(Sys);
   const uint32_t N = static_cast<uint32_t>(Sys.numShards());
-  ASSERT_GT(N, 2u);
-  SimplifiedSystem Whole = simplifyShardRange(Sys, 0, N, Ids);
-  ASSERT_FALSE(Whole.Conflict);
-  size_t ConsAt = 0, RepOff = 0, BoolOff = 0;
-  for (uint32_t K = 0; K != N; ++K) {
-    SimplifiedSystem Part = simplifyShard(Sys, K, Ids);
-    ASSERT_FALSE(Part.Conflict);
-    ASSERT_LE(ConsAt + Part.Residual.Cons.size(), Whole.Residual.Cons.size());
-    for (const Constraint &C : Part.Residual.Cons) {
-      Constraint Shifted = C;
-      Shifted.S1 += static_cast<StateVarId>(RepOff);
-      Shifted.S2 += static_cast<StateVarId>(RepOff);
-      Shifted.B += static_cast<BoolVarId>(BoolOff);
-      expectSameConstraint(Whole.Residual.Cons[ConsAt++], Shifted);
+  ASSERT_GT(N, 5u);
+  const std::vector<uint32_t> All{0, 1, 2, 3, 4, 5};
+  const std::vector<uint32_t> Gappy{0, 2, 3, 5};
+  for (const std::vector<uint32_t> &Group : {All, Gappy}) {
+    SimplifiedSystem Whole = simplifyGroup(Sys, Group, Ids);
+    ASSERT_FALSE(Whole.Conflict);
+    size_t ConsAt = 0, RepOff = 0, BoolOff = 0;
+    for (uint32_t K : Group) {
+      SimplifiedSystem Part = simplifyGroup(Sys, {&K, 1}, Ids);
+      ASSERT_FALSE(Part.Conflict);
+      ASSERT_LE(ConsAt + Part.Residual.Cons.size(),
+                Whole.Residual.Cons.size());
+      for (const Constraint &C : Part.Residual.Cons) {
+        Constraint Shifted = C;
+        Shifted.S1 += static_cast<StateVarId>(RepOff);
+        Shifted.S2 += static_cast<StateVarId>(RepOff);
+        Shifted.B += static_cast<BoolVarId>(BoolOff);
+        expectSameConstraint(Whole.Residual.Cons[ConsAt++], Shifted);
+      }
+      RepOff += Part.Residual.numStateVars();
+      BoolOff += Sys.shardBools(K).size();
     }
-    RepOff += Part.Residual.numStateVars();
-    BoolOff += Sys.shardBools(K).size();
+    EXPECT_EQ(ConsAt, Whole.Residual.Cons.size());
+    EXPECT_EQ(RepOff, Whole.Residual.numStateVars());
   }
-  EXPECT_EQ(ConsAt, Whole.Residual.Cons.size());
-  EXPECT_EQ(RepOff, Whole.Residual.numStateVars());
 }
 
 TEST(Components, ParallelMultiComponentMatchesSequential) {

@@ -1,7 +1,7 @@
 // Differential property test for the solver: on the builtin corpus and a
 // large random-program sweep, the production path — per-shard simplify
-// and solve over packed domains, through solve() and through
-// solveCached() on a cold and then a warm cache — must produce
+// and solve over packed domains, without a shard cache and with one,
+// cold and then warm — must produce
 // bit-identical output (Sat, state domains and boolean domains) to the
 // oracle: the raw §4.3 engine over byte-per-variable domains
 // (`aflc --no-simplify`).
@@ -51,9 +51,9 @@ void expectSolveModesAgree(const std::string &Source, const char *Label) {
   // The same path behind the per-document shard cache: a cold call
   // solves every distinct shard, a second call replays every shard.
   ShardSolutionCache Cache;
-  SolveResult Cold = solveCached(Gen.Sys, SolveOptions(), Cache);
+  SolveResult Cold = solve(Gen.Sys, SolveOptions(), &Cache);
   const uint64_t ColdHits = Cache.Hits, ColdMisses = Cache.Misses;
-  SolveResult Warm = solveCached(Gen.Sys, SolveOptions(), Cache);
+  SolveResult Warm = solve(Gen.Sys, SolveOptions(), &Cache);
   EXPECT_EQ(Cache.Hits, ColdHits + Gen.Sys.numShards()) << Label;
   EXPECT_EQ(Cache.Misses, ColdMisses) << Label;
 

@@ -292,11 +292,80 @@ TEST(Solver, ShardedParallelJobsMatchSequential) {
   EXPECT_EQ(RPar.BoolDom, RRaw.BoolDom);
 }
 
+/// Chains in eight distinct shapes, each emitted three times over (the
+/// shapes cycle, so the repeats follow the first occurrences): a system
+/// with both repeated and distinct shards. Each chain allocates in its
+/// first half, is pinned Allocated in the middle and freed by its end;
+/// every fifth link is an `Eq`. The distinct shapes alone hold 1,360
+/// constraints, at least the fan-out threshold, so a cold cached solve
+/// fans its misses out on a multi-core host.
+ConstraintSystem repeatedShardsSystem() {
+  ConstraintSystem Sys;
+  for (int Chain = 0; Chain != 24; ++Chain) {
+    const int Len = 100 + (Chain % 8) * 20;
+    StateVarId Prev = Sys.newState(StU);
+    for (int I = 0; I != Len; ++I) {
+      StateVarId Next = Sys.newState();
+      if (I % 5 == 4)
+        Sys.addEq(Prev, Next);
+      else if (I < Len / 2)
+        Sys.addAllocTriple(Prev, Sys.newBool(), Next);
+      else
+        Sys.addDeallocTriple(Prev, Sys.newBool(), Next);
+      if (I == Len / 2)
+        Sys.restrictState(Next, StA);
+      Prev = Next;
+    }
+    Sys.restrictState(Prev, StD);
+  }
+  return Sys;
+}
+
+TEST(Solver, ShardedCachedMatchesUncachedAndRaw) {
+  // The shard cache is a memo in front of the grouped solve: cold and
+  // warm, the domains equal the uncached solve's and the raw oracle's.
+  ConstraintSystem Sys = repeatedShardsSystem();
+  ASSERT_EQ(Sys.numShards(), 24u);
+  ASSERT_EQ(Sys.numConstraints(), 4080u);
+  SolveResult Plain = solve(Sys);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  SolveResult Raw = solve(Sys, RawOpts);
+  ASSERT_TRUE(Plain.Sat);
+  ASSERT_TRUE(Raw.Sat);
+  ASSERT_EQ(Plain.StateDom, Raw.StateDom);
+  ASSERT_EQ(Plain.BoolDom, Raw.BoolDom);
+
+  // Cold: each of the eight shapes is solved once; its two repeats in
+  // the same call replay that solution and count as hits.
+  ShardSolutionCache Cache;
+  SolveResult Cold = solve(Sys, SolveOptions(), &Cache);
+  EXPECT_EQ(Cache.Misses, 8u);
+  EXPECT_EQ(Cache.Hits, 16u);
+  EXPECT_EQ(Cache.Entries.size(), 8u);
+  if (ThreadPool::hardwareThreads() > 1) {
+    EXPECT_GT(Cold.Simplify.ThreadsUsed, 1u);
+  }
+
+  // Warm: every shard hits, and nothing is solved.
+  SolveResult Warm = solve(Sys, SolveOptions(), &Cache);
+  EXPECT_EQ(Cache.Misses, 8u);
+  EXPECT_EQ(Cache.Hits, 16u + 24u);
+  EXPECT_EQ(Warm.Propagations, 0u);
+
+  for (const SolveResult *R : {&Cold, &Warm}) {
+    ASSERT_TRUE(R->Sat);
+    EXPECT_EQ(R->StateDom, Plain.StateDom);
+    EXPECT_EQ(R->BoolDom, Plain.BoolDom);
+  }
+}
+
 TEST(Solver, UnsatShardFailsWholeSystem) {
   // One inconsistent shard among many healthy ones must surface as
-  // global Unsat on both paths. The system is above the fan-out
-  // threshold, so on a multi-core host the failing group runs on a pool
-  // worker, which cannot return a partial success.
+  // global Unsat on both paths, with or without a shard cache. The
+  // system is above the fan-out threshold, so on a multi-core host the
+  // failing group runs on a pool worker, which cannot return a partial
+  // success.
   ConstraintSystem Sys = multiChainSystem(12, 200, nullptr);
   StateVarId S1 = Sys.newState(StA);
   StateVarId S2 = Sys.newState(StD);
@@ -306,6 +375,14 @@ TEST(Solver, UnsatShardFailsWholeSystem) {
   SolveOptions RawOpts;
   RawOpts.Simplify = false;
   EXPECT_FALSE(solve(Sys, RawOpts).Sat);
+
+  // An unsatisfiable solve records nothing, so the warm call solves
+  // again and fails again.
+  ShardSolutionCache Cache;
+  EXPECT_FALSE(solve(Sys, SolveOptions(), &Cache).Sat);
+  EXPECT_TRUE(Cache.Entries.empty());
+  EXPECT_FALSE(solve(Sys, SolveOptions(), &Cache).Sat);
+  EXPECT_TRUE(Cache.Entries.empty());
 }
 
 TEST(Solver, ShardedHandlesUnconstrainedVariables) {
